@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qthermo.lindblad import heat_current, propagate, steady_state
+from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
+                              heat_current, propagate, steady_state)
 from qthermo.models import (DoubleDotParams, FridgeParams, SingleDotParams,
                             double_dot_generator, fridge_generator,
                             single_dot_generator)
+from qthermo.models.common import LOWER, NUMBER, RAISE
 from qthermo.thermo import ReservoirSpec
 from qthermo.trajectories import (PopulationClosureError, TPMProtocol,
                                   backward_ensemble, backward_protocol,
@@ -300,8 +303,6 @@ class TestUnravelPhysics:
             assert abs(mean_q - j) < 5 * se
 
     def test_high_bias_jump_count_matches_fcs_mean(self):
-        from qthermo.lindblad import GKLSGenerator, JumpChannel, ThermoLedger
-        from qthermo.models.common import LOWER, NUMBER, RAISE
         kl, kr, tau = 1.3, 0.7, 5.0
         res = ReservoirSpec(1.0, 0.0, "fermionic", 0.0)
         gen = GKLSGenerator(0.0 * NUMBER, (
@@ -382,3 +383,203 @@ class TestUnravelPhysics:
                           record_events=False)
             fracs.append(ft_estimators(ens).negative_fraction)
         assert fracs[0] > fracs[1] > fracs[2]
+
+
+def secular_double_dot():
+    return double_dot_generator(DoubleDotParams(2.0, 0.6, {
+        "L": ReservoirSpec(0.8, 0.3, "fermionic", 0.02),
+        "R": ReservoirSpec(0.5, 0.1, "fermionic", 0.03)}, mode="secular"))
+
+
+def fridge_population_sector():
+    return fridge_generator(FridgeParams(0.6, 1.4, 0.0, {
+        "c": ReservoirSpec(0.4, 0.0, "bosonic", 0.02),
+        "h": ReservoirSpec(2.0, 0.0, "bosonic", 0.03),
+        "r": ReservoirSpec(1.0, 0.0, "bosonic", 0.025)}))
+
+
+def decaying_dot():
+    # one lowering channel only: the empty state is absorbing
+    res = ReservoirSpec(1.0, 0.0, "fermionic", 0.0)
+    gen = GKLSGenerator(0.0 * NUMBER, (JumpChannel(LOWER, 0.7, "R", 0.0, 1),))
+    return gen, ThermoLedger(0.0 * NUMBER, NUMBER, {"R": res})
+
+
+# (model, p0, tau, seed, n_traj, record_events). At tau = 40 the single
+# dot makes up to ~50 jumps, past the refill after draw 62; at tau = 150
+# it passes several refills.
+GOLDEN_CASES = {
+    "single_dot_tau2": (lambda: single_dot_generator(biased_dot_params()),
+                        [0.3, 0.7], 2.0, 42, 10_000, False),
+    "single_dot_tau40": (lambda: single_dot_generator(biased_dot_params()),
+                         [0.5, 0.5], 40.0, 7, 2000, True),
+    "single_dot_tau150": (lambda: single_dot_generator(biased_dot_params()),
+                          [0.9, 0.1], 150.0, 2**64 - 2, 300, True),
+    "secular_double_dot": (secular_double_dot, [0.4, 0.3, 0.2, 0.1], 600.0,
+                           3, 2000, True),
+    "fridge_population_sector": (fridge_population_sector, [0.125] * 8,
+                                 400.0, 11, 2000, False),
+    "decaying_dot": (decaying_dot, [0.3, 0.7], 5.0, 5, 1000, True),
+}
+
+
+def ensemble_digests(ens):
+    """SHA-256 of every per-trajectory array as raw bytes, and of events."""
+    fields = {"initial": ens.initial, "final": ens.final,
+              "entropy_production": ens.entropy_production}
+    for tag in sorted(ens.heat):
+        fields[f"heat[{tag}]"] = ens.heat[tag]
+        fields[f"work[{tag}]"] = ens.work[tag]
+    out = {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes())
+           .hexdigest() for name, arr in fields.items()}
+    if ens.events is not None:
+        h = hashlib.sha256()
+        for ev in ens.events:
+            h.update(np.int64(len(ev)).tobytes())
+            h.update(np.array([t for t, _ in ev], dtype=np.float64).tobytes())
+            h.update(np.array([k for _, k in ev], dtype=np.int64).tobytes())
+        out["events"] = h.hexdigest()
+    return out
+
+
+def golden_ensemble(name):
+    model, p0, tau, seed, n_traj, record = GOLDEN_CASES[name]
+    gen, ledger = model()
+    return unravel(gen, ledger, np.array(p0), tau, seed, n_traj,
+                   record_events=record)
+
+
+# Frozen from the per-trajectory scalar Gillespie loop. Any change to the
+# sampler must reproduce these ensembles bit for bit. The entropy
+# production also depends on the expm of the rate matrix for p(tau).
+GOLDEN_DIGESTS = {
+    "decaying_dot": {
+        "initial":
+            "4c11363b3de43b7775fb45bbf7e03bae22d96c9f55f1373e75ae25d7ec54f6c5",
+        "final":
+            "301774eff8191e5fe1504ba24330da12644a5c884dec1001b89d3e87ff371a54",
+        "entropy_production":
+            "0662dba33786c77b74586784ca89283bf1c9b6e6e4edf867583f89daf0d740e3",
+        "heat[R]":
+            "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b",
+        "work[R]":
+            "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b",
+        "events":
+            "c1f28a445173b7029d1b306e672b36185ebb98e42bbdb5ae466c2eefb00d4f05",
+    },
+    "fridge_population_sector": {
+        "initial":
+            "fb2b8ccc9a981f76586f19ad868fa237518a7db835ff735d780fc4fc66669c39",
+        "final":
+            "9ae2a4e799187cbce3394147792fe893ca1cb0b0a0d356a19688e5808149367d",
+        "entropy_production":
+            "0f551648a0a1bf57ad278b59f4fc5362a398690bc7b8780c1d9d1606ea9d18fc",
+        "heat[c]":
+            "4b83189e5246aa72f5f1ba1ad460b7ab1dccb125907832b67eaf5f0d2d1a1247",
+        "work[c]":
+            "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+        "heat[h]":
+            "2d9c0b134709d189fbbfa58dbc21348d10a78b5f6c2e0c0d9affc6fbb856aefe",
+        "work[h]":
+            "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+        "heat[r]":
+            "536e3149a30088dfd12f141a7b95394e8b088e6d76807630190695813c4ec0aa",
+        "work[r]":
+            "f85f2c34eb2843d2aa5951ee6e8e76985655b2e3ae2cbdd76bdfd654ecf19997",
+    },
+    "secular_double_dot": {
+        "initial":
+            "5d3e8d8a960442b9b62036dd896fff74d2d4a52e770dea2e97434a4fc391177b",
+        "final":
+            "3518f571b1955c731e0536a394cd85efd7ee2273630180f49fe26f94ec9674ff",
+        "entropy_production":
+            "5344632a6ce5d11edc0739a21dda935839be86a4000c02028bfe63e016490520",
+        "heat[L]":
+            "85e871f234be39fe1192977d74b4656a862798bd8241e52155e0ef7609496201",
+        "work[L]":
+            "a22741131a233560a5d74e575f806ed662793f90eb7657ce503dfbdc5d7bb1ae",
+        "heat[R]":
+            "0bfeba0c6a314e922b64b8a8ed5e32799584f978adf7fda8def53dbbb3cc1e2e",
+        "work[R]":
+            "5efc86df3b4dd0badaf02a56789552dae0a8848a2a80d9ea008c8064e45d6307",
+        "events":
+            "277658fac2dda6ea29fd22d96eac600464143c67aba014581a52954bd90aad7d",
+    },
+    "single_dot_tau150": {
+        "initial":
+            "86838949ec765053fb34ad3225f6945438a194cb451a8035cd5aa5280fef2663",
+        "final":
+            "2c6d5e8d237b49b7cad65c0130519ef19a9dcbccc3e842f06fa79c96601b18dd",
+        "entropy_production":
+            "fbe472aa472be77a2f68b3add750d24558dae055bd4b6350af98b11b45bd7679",
+        "heat[L]":
+            "4397fba5bcc9096311237872a4778e0f8339e401cad7a8edbf608139cd89f15e",
+        "work[L]":
+            "f303b8811c6b707c913d4fe71bdd2bd9320ce255b81f5372b60aa47f3629bc75",
+        "heat[R]":
+            "d6d2c36b56536a3cb1e76e75c5a1c794758d47ac847f0edbaac6065830773bf8",
+        "work[R]":
+            "41e70da1a74b44a097b4c706e833e195ef8b18042aa4bf91bbdcb9dc0c3e1bdf",
+        "events":
+            "6cc06a8464e7d3b32025b9701199b8e01a482131b0022a2103482d9e2fcd4102",
+    },
+    "single_dot_tau2": {
+        "initial":
+            "61be4a6fc34a04996a54d1d177a4c634c635c02a4cdcba8f9a1813cd4016fddd",
+        "final":
+            "138f90248b20684ff8c9f4712a76e433a3a68a3fe7f24925da886af3d5a308f1",
+        "entropy_production":
+            "b23b923b9ae6a4dde9c72ae69f086cf33bb7fa775860f6dbe776086c607dc9f4",
+        "heat[L]":
+            "fb80943dc0598dc8e3abbe6287889fcfa4a6395a1275bd69aeac3446732b16ed",
+        "work[L]":
+            "544ead849e239d6750961820491867269858ed7f3e4da193e3be93d4f4f7fe70",
+        "heat[R]":
+            "4a5dbd567ba496d2fdad8c8479ae527a4a940f714c5be1e5c0526a8c2e9d4ac3",
+        "work[R]":
+            "b9d0ea12c62a900d12d50e30885979eb4611249e83174c568b7dfbe598e4f67f",
+    },
+    "single_dot_tau40": {
+        "initial":
+            "3edf0b3069ab69eab3960b4f5e0fe634e170982fb66ce1697a9a75dc55732c10",
+        "final":
+            "65c32d7f6e2b39064ed023521c68c2b0600d76e3c184e7ca9d62d16fbfd247a2",
+        "entropy_production":
+            "297c9336b3773d46307c720ed833f96b978c00de63c94006041b57ee8a3943b3",
+        "heat[L]":
+            "0c1d90aa0957c1a03aa808a1007922cadda71dc56e1e23914919793c6e549bec",
+        "work[L]":
+            "f1774e259c99090c36900750735e36506e552584805d69b66b2127a7a1b9558d",
+        "heat[R]":
+            "c6f5edcb313db2aaf5e5a981093caceb8d87d0fa48b6586ab8a258227412e496",
+        "work[R]":
+            "a3b37676fa884f92caa3bf7844236ccaa9abbc38b09ad586e999e33fff02b609",
+        "events":
+            "d42e21e59dc7a072e06df4519f2dce9cf32fe769d12268c04bca854338880dce",
+    },
+}
+
+
+class TestUnravelGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_digests(self, name):
+        ens = golden_ensemble(name)
+        assert ensemble_digests(ens) == GOLDEN_DIGESTS[name]
+        assert ens.initial.dtype == ens.final.dtype == np.int64
+        if ens.events is not None:
+            assert all(type(t) is float and type(k) is int
+                       for ev in ens.events for t, k in ev)
+
+    def test_prefix_is_independent_of_ensemble_size(self):
+        # trajectory i depends only on (seed, i)
+        gen, ledger = single_dot_generator(biased_dot_params())
+        p0 = np.array([0.5, 0.5])
+        big = unravel(gen, ledger, p0, 3.0, 8, 20_000)
+        small = unravel(gen, ledger, p0, 3.0, 8, 777)
+        for field in ("initial", "final", "entropy_production"):
+            assert np.array_equal(getattr(big, field)[:777],
+                                  getattr(small, field))
+        for tag in big.heat:
+            assert np.array_equal(big.heat[tag][:777], small.heat[tag])
+            assert np.array_equal(big.work[tag][:777], small.work[tag])
+        assert big.events[:777] == small.events
