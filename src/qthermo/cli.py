@@ -44,6 +44,8 @@ EXIT_NUMERIC = 3
 
 CONFIG_DIALECT = "json/1"
 ENV_THREADS = "QTHERMO_NUM_THREADS"
+# seeds are 64-bit Philox key words; trajectories also uses seed + 1
+SEED_MAX = 2**64 - 2
 
 EXPERIMENTS = ("single-dot", "heat-engine", "double-dot", "absorption",
                "fcs", "tpm", "trajectories")
@@ -85,6 +87,13 @@ def _opt(mapping, key, default, kind=(int, float)):
     return _typecheck(mapping[key], kind, f"key {key!r}")
 
 
+def _check_seed(seed):
+    _typecheck(seed, int, "seed")
+    if not 0 <= seed <= SEED_MAX:
+        raise ConfigError(f"seed must lie in [0, 2**64 - 2], got {seed}")
+    return seed
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -121,7 +130,7 @@ def load_config(path):
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', "
                           f"got {out_format!r}")
-    seed = _opt(raw, "seed", 0, int)
+    seed = _check_seed(_opt(raw, "seed", 0, int))
     return {"experiment": experiment, "params": params, "sweep": sweep,
             "output": {"path": out_path, "format": out_format}, "seed": seed}
 
@@ -388,6 +397,8 @@ def _run_trajectories(cfg):
                             float(_need(p, "kappa_R", "params")))})
     tau = float(_need(p, "tau", "params"))
     n_traj = _need(p, "n_traj", "params", int)
+    if n_traj < 2:
+        raise ConfigError("params.n_traj must be >= 2")
     gen, ledger = single_dot_generator(params)
     rho_ss = steady_state(gen)
     p0 = np.real(np.diag(rho_ss))
@@ -503,7 +514,7 @@ def write_table(path, fmt, cols, units, rows, metadata):
 def run(config_path, seed=None, out=None, fmt=None):
     cfg = load_config(config_path)
     if seed is not None:
-        cfg["seed"] = seed
+        cfg["seed"] = _check_seed(seed)
     if out is not None:
         cfg["output"]["path"] = out
     if fmt is not None:

@@ -15,13 +15,22 @@ Two layers:
 Time reversal is restricted to Theta = complex conjugation, so all TPM
 Hamiltonians must be real-symmetric (no magnetic fields).
 
-RNG: counter-based per-trajectory streams, Philox keyed by
-(master seed, trajectory index); identical (seed, params) give
-bit-identical trajectory records regardless of execution order.
+RNG: counter-based Philox4x64-10 streams (Salmon et al., SC'11), so
+identical (seed, params) give bit-identical records regardless of
+execution order or batch size. Seeds are integers in [0, 2**64 - 1].
+
+- ``tpm_sample`` draws from ``np.random.Philox(key=[seed, 0])``.
+- ``unravel``: trajectory i reads the blocks at counters [b, 0, 0, i],
+  b = 1, 2, ..., under key [seed, 0]. The uint64 words of those blocks
+  in order form its draw stream, each word x giving u = (x >> 11) * 2**-53
+  (numpy's ``random()`` of that Philox state). Draw 0 picks the initial
+  state. Jumps read the stream in batches of 64 draws: each jump takes the
+  next two draws (waiting time, channel) and moves on to the next batch
+  when fewer than two are left, so draw 63 is never used.
 """
 
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -31,6 +40,7 @@ from .lindblad import validate_ledger
 from .qcore import KB, dagger, expm_dense, hermitize
 
 _REAL_SYM_TOL = 1e-12
+_SEED_MAX = 2**64 - 1
 
 
 class PopulationClosureError(ValueError):
@@ -40,6 +50,14 @@ class PopulationClosureError(ValueError):
 # ---------------------------------------------------------------------------
 # Two-point measurement scheme
 # ---------------------------------------------------------------------------
+
+def _check_seed(seed):
+    seed = operator.index(seed)
+    if not 0 <= seed <= _SEED_MAX:
+        raise ValueError(f"seed must be an integer in [0, 2**64 - 1], "
+                         f"got {seed}")
+    return seed
+
 
 def _check_real_symmetric(h):
     h = np.asarray(h)
@@ -217,8 +235,11 @@ class TPMSamples:
 def tpm_sample(protocol, seed, n_samples):
     """Monte Carlo TPM runs: sample n from the Gibbs weights, then m from
     the conditional transition probabilities. Same seed, same stream."""
+    seed = _check_seed(seed)
     dist = tpm_distribution(protocol)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    # an explicit uint64 key: numpy casts a list key through a signed type
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64)))
     dim = dist.p_initial.size
     n_idx = rng.choice(dim, size=n_samples, p=dist.p_initial)
     cum = np.cumsum(dist.transition, axis=0)  # cum[m, n]
@@ -436,36 +457,128 @@ def _population_structure(gen, ledger, tol=1e-10):
 
 
 def _state_tables(gen, ledger, moves):
-    """Per-source-state cumulative rates, targets, and per-jump quanta.
+    """Per-source-state jump tables and per-channel quanta as arrays.
 
-    Plain-Python lists: the Gillespie inner loop is scalar and bisect on
-    lists beats numpy call overhead at these sizes.
+    Row j of ``cum``, ``targets`` and ``channels`` lists the moves out of
+    state j: cumulative rates (summed left to right), target states and
+    channel indices, padded with +inf / -1 up to the widest row.
+    ``totals[j]`` is the escape rate, ``cum[j]``'s last finite entry.
+    The quanta ``(reservoir index, heat, work)`` are indexed by channel.
     """
     dim = ledger.h_td.shape[0]
     reservoirs = gen.reservoirs()
     res_index = {alpha: i for i, alpha in enumerate(reservoirs)}
-    tables = []
+    rows = []
     for j in range(dim):
-        rates, targets, channels = [], [], []
-        for k, (tgt, rt) in enumerate(moves):
-            if tgt[j] >= 0 and rt[j] > 0:
-                rates.append(float(rt[j]))
-                targets.append(int(tgt[j]))
-                channels.append(k)
-        total = float(sum(rates))
-        cum = []
+        rows.append([(float(rt[j]), int(tgt[j]), k)
+                     for k, (tgt, rt) in enumerate(moves)
+                     if tgt[j] >= 0 and rt[j] > 0])
+    width = max(1, max(len(row) for row in rows))
+    totals = np.zeros(dim)
+    cum = np.full((dim, width), np.inf)
+    targets = np.full((dim, width), -1, dtype=np.int64)
+    channels = np.full((dim, width), -1, dtype=np.int64)
+    for j, row in enumerate(rows):
         acc = 0.0
-        for r in rates:
-            acc += r
-            cum.append(acc)
-        tables.append((total, cum, targets, channels))
-    quanta = []
+        for c, (rate, target, k) in enumerate(row):
+            acc += rate
+            cum[j, c] = acc
+            targets[j, c] = target
+            channels[j, c] = k
+        totals[j] = acc
+    res_idx, dq, dw = [], [], []
     for ch in gen.channels:
         mu = ledger.reservoirs[ch.reservoir].chemical_potential
-        quanta.append((res_index[ch.reservoir],
-                       float(ch.energy_quantum - mu * ch.particle_quantum),
-                       float(mu * ch.particle_quantum)))
-    return reservoirs, tables, quanta
+        res_idx.append(res_index[ch.reservoir])
+        dq.append(float(ch.energy_quantum - mu * ch.particle_quantum))
+        dw.append(float(mu * ch.particle_quantum))
+    quanta = (np.array(res_idx, dtype=np.int64), np.array(dq), np.array(dw))
+    return reservoirs, (totals, cum, targets, channels), quanta
+
+
+# Philox4x64-10 multipliers and Weyl key increments (Random123).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2**64 - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+
+# Trajectories sampled together in one lock-step batch. It bounds the
+# working arrays (a few hundred bytes per trajectory) and does not change
+# the draws.
+_CHUNK = 16384
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit product of the constant ``a`` and the
+    uint64 array or scalar ``b``, from 32-bit halves."""
+    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
+    b_hi, b_lo = b >> 32, b & _LO32
+    lo_lo = a_lo * b_lo
+    hi_lo = a_hi * b_lo
+    cross = (lo_lo >> 32) + (hi_lo & _LO32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> 32) + (cross >> 32)
+
+
+def _philox4x64(counter, key):
+    """Philox4x64-10 block function, vectorised over counters.
+
+    ``counter`` is the four counter words, lowest first: uint64 arrays
+    or scalars, broadcast together (words shared by every counter stay
+    scalars through the first rounds, which is cheaper). ``key`` is two
+    Python ints. Returns the four output words, the values
+    ``np.random.Philox`` produces for the same key and counter.
+    """
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
+    with np.errstate(over="ignore"):  # products wrap modulo 2**64
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            c0, c1, c2, c3 = (_mulhi(_PHILOX_M[1], c2) ^ c1 ^ np.uint64(k0),
+                              c2 * m1,
+                              _mulhi(_PHILOX_M[0], c0) ^ c3 ^ np.uint64(k1),
+                              c0 * m0)
+    return c0, c1, c2, c3
+
+
+def _jump_draws(j):
+    """Stream positions of the (waiting time, channel) draws of jump j."""
+    if j < 31:
+        return 1 + 2 * j, 2 + 2 * j
+    j -= 31
+    first = 64 * (1 + j // 32) + 2 * (j % 32)
+    return first, first + 1
+
+
+class _Streams:
+    """The draw streams of a set of live trajectories, read in lock-step.
+
+    Every trajectory reads the same stream position at the same time, so
+    one Philox block is held per trajectory and the next one is computed
+    only for the trajectories still alive when it is first needed.
+    """
+
+    def __init__(self, seed, index):
+        self.key = (seed, 0)
+        self.index = index.astype(np.uint64)
+        self.block_no = 0
+        self.block = None
+
+    def uniform(self, position):
+        block_no = 1 + position // 4
+        if block_no != self.block_no:
+            zero = np.uint64(0)
+            self.block = np.array(_philox4x64(
+                (np.uint64(block_no), zero, zero, self.index), self.key))
+            self.block_no = block_no
+        return (self.block[position % 4] >> 11) * 2.0**-53
+
+    def keep(self, mask):
+        self.index = self.index[mask]
+        if self.block is not None:
+            self.block = self.block[:, mask]
 
 
 def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
@@ -476,8 +589,13 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     Per jump of channel k tagged alpha the bookkeeping adds
     omega_k - mu_alpha n_k to Q_alpha and mu_alpha n_k to W_alpha (both
     positive into the reservoir); the boundary entropy term uses the
-    ensemble rate-equation populations at 0 and tau.
+    ensemble rate-equation populations at 0 and tau. Trajectory i draws
+    from its own Philox stream (see the module docstring), so it depends
+    only on (seed, i). ``n_traj`` must be at least 1.
     """
+    seed = _check_seed(seed)
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     validate_ledger(gen, ledger)
     basis, moves, rate_matrix = _population_structure(gen, ledger)
     reservoirs, tables, quanta = _state_tables(gen, ledger, moves)
@@ -491,72 +609,17 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     p_tau = np.clip(p_tau, 0.0, None)
     p_tau /= p_tau.sum()
 
-    cum_p0 = np.cumsum(p0).tolist()
     n_res = len(reservoirs)
     initial = np.empty(n_traj, dtype=np.int64)
     final = np.empty(n_traj, dtype=np.int64)
     heat = np.zeros((n_res, n_traj))
     work = np.zeros((n_res, n_traj))
-    events_out = [] if record_events else None
-
-    log = math.log
-    # Trajectory i draws from Philox(key=[seed, 0], counter=[0, 0, 0, i]):
-    # a counter-based stream per trajectory. Resetting the state of one
-    # bit generator is bit-identical to fresh construction and much
-    # cheaper, which matters at 1e6 trajectories.
-    bitgen = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bitgen)
-    state_template = dict(bitgen.state)
-    key_arr = np.array([seed, 0], dtype=np.uint64)
-    last = dim - 1
-    for i in range(n_traj):
-        st = dict(state_template)
-        st["state"] = {"counter": np.array([0, 0, 0, i], dtype=np.uint64),
-                       "key": key_arr}
-        bitgen.state = st
-        draws = rng.random(64).tolist()
-        pos = 0
-        n_draws = 64
-
-        state = bisect_right(cum_p0, draws[0])
-        pos = 1
-        if state > last:
-            state = last
-        initial[i] = state
-        t = 0.0
-        q_acc = [0.0] * n_res
-        w_acc = [0.0] * n_res
-        ev = [] if record_events else None
-        while True:
-            total, cum, targets, channels = tables[state]
-            if total <= 0.0:
-                break
-            if pos + 2 > n_draws:
-                draws = rng.random(64).tolist()
-                pos = 0
-            u1 = draws[pos]
-            u2 = draws[pos + 1]
-            pos += 2
-            dt = -log(1.0 - u1) / total
-            if t + dt > tau:
-                break
-            t += dt
-            local = bisect_right(cum, u2 * total)
-            if local >= len(targets):
-                local = len(targets) - 1
-            k = channels[local]
-            r_idx, dq, dw = quanta[k]
-            q_acc[r_idx] += dq
-            w_acc[r_idx] += dw
-            state = targets[local]
-            if ev is not None:
-                ev.append((t, k))
-        final[i] = state
-        for r in range(n_res):
-            heat[r, i] = q_acc[r]
-            work[r, i] = w_acc[r]
-        if events_out is not None:
-            events_out.append(tuple(ev))
+    events = [[] for _ in range(n_traj)] if record_events else None
+    cum_p0 = np.cumsum(p0)
+    for start in range(0, n_traj, _CHUNK):
+        _unravel_chunk(np.arange(start, min(start + _CHUNK, n_traj)), seed,
+                       cum_p0, tables, quanta, tau,
+                       initial, final, heat, work, events)
 
     entropy_change = np.log(p0[initial]) - np.log(p_tau[final])
     sigma = KB * entropy_change.copy()
@@ -568,8 +631,64 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         heat={a: heat[r] for r, a in enumerate(reservoirs)},
         work={a: work[r] for r, a in enumerate(reservoirs)},
         entropy_change=entropy_change, entropy_production=sigma,
-        events=events_out, p_initial=p0, p_final=p_tau, tau=tau, seed=seed,
+        events=None if events is None else [tuple(ev) for ev in events],
+        p_initial=p0, p_final=p_tau, tau=tau, seed=seed,
         basis=basis, rate_matrix=rate_matrix)
+
+
+def _unravel_chunk(pos, seed, cum_p0, tables, quanta, tau,
+                   initial, final, heat, work, events):
+    """Sample trajectories ``pos`` one jump per step, all at once.
+
+    Writes their rows of ``initial``, ``final``, ``heat``, ``work`` and,
+    when not None, ``events``. A trajectory leaves the live set when its
+    state has no way out or its next jump would fall after ``tau``.
+    """
+    totals, cum, targets, channels = tables
+    res_idx, dq, dw = quanta
+    last_move = np.count_nonzero(targets >= 0, axis=1) - 1
+    streams = _Streams(seed, pos)
+    state = np.searchsorted(cum_p0, streams.uniform(0), side="right")
+    state = np.minimum(state, cum_p0.size - 1)
+    initial[pos] = state
+    t = np.zeros(pos.size)
+    j = 0
+    while pos.size:
+        total = totals[state]
+        stuck = total <= 0.0
+        if stuck.any():
+            final[pos[stuck]] = state[stuck]
+            pos, state, t, total = (pos[~stuck], state[~stuck], t[~stuck],
+                                    total[~stuck])
+            streams.keep(~stuck)
+            if not pos.size:
+                break
+        first, second = _jump_draws(j)
+        rest = (1.0 - streams.uniform(first)).tolist()
+        # math.log, not np.log: the two differ in the last bit for a few
+        # arguments, and the streams are pinned to math.log
+        dt = -np.fromiter(map(math.log, rest), float, len(rest)) / total
+        late = t + dt > tau
+        if late.any():
+            final[pos[late]] = state[late]
+            on = ~late
+            pos, state, t, dt, total = (pos[on], state[on], t[on], dt[on],
+                                        total[on])
+            streams.keep(on)
+            if not pos.size:
+                break
+        t = t + dt
+        x = streams.uniform(second) * total
+        local = np.count_nonzero(cum[state] <= x[:, None], axis=1)
+        local = np.minimum(local, last_move[state])
+        k = channels[state, local]
+        heat[res_idx[k], pos] += dq[k]
+        work[res_idx[k], pos] += dw[k]
+        state = targets[state, local]
+        if events is not None:
+            for i, ti, ki in zip(pos.tolist(), t.tolist(), k.tolist()):
+                events[i].append((ti, ki))
+        j += 1
 
 
 def backward_ensemble(gen, ledger, forward, seed):
@@ -605,6 +724,10 @@ def ft_estimators(forward, backward=None, min_count=10, atom_decimals=9,
     negative-Sigma statistics are reported as inconclusive, never
     silently passed.
     """
+    for ens in (forward, backward):
+        if ens is not None and len(ens) < 2:
+            raise ValueError("fluctuation-theorem estimators need at least "
+                             f"2 trajectories per ensemble, got {len(ens)}")
     x = np.exp(-forward.entropy_production / KB)
     est = float(x.mean())
     stderr = float(x.std(ddof=1) / math.sqrt(x.size))

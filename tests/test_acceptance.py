@@ -6,7 +6,7 @@ kappa_L = 100 kappa_R the exact model cumulants sit (2^k - 1)% below
 kappa_R (2.9% / 6.7% / 13.9% for orders 2-4), so "equal to kappa_R
 within 1%" is unattainable for any implementation; the failing assertion
 is kept, marked as an expected failure, and reported FAIL in the
-summary. See notes/decisions.md for the analysis.
+summary. The analysis is in the README, "Install and test".
 """
 
 import cmath
@@ -296,7 +296,7 @@ def test_criterion_7_fcs_analytic_match():
     "kappa_R (1 - (2^k - 1)/100) + O(1e-4), i.e. 2.9%/6.7%/13.9% below "
     "kappa_R for orders 2/3/4 (verified by exact differentiation of the "
     "analytic CGF), so 'cumulants 1-4 equal to kappa_R within 1%' cannot "
-    "hold for any implementation; see notes/decisions.md"))
+    "hold for any implementation; see README, 'Install and test'"))
 def test_criterion_7_poisson_clause():
     gen, cfg, name = _high_bias_generator(100.0, 1.0)
     reps = cumulants(gen, cfg, name, max_order=4)
@@ -307,7 +307,7 @@ def test_criterion_7_poisson_clause():
         "kappa_R at ratio 100 are "
         + ", ".join(f"{d:.3f}" for d in devs)
         + " (orders 1-4); only order 1 is within 1% — exact model values, "
-          "not an implementation artifact (see decisions ledger)")
+          "not an implementation artifact (see README, Install and test)")
     for rep in reps:
         assert abs(rep.value - 1.0) <= 0.01
 

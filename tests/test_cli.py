@@ -72,6 +72,45 @@ class TestConfigParsing:
         assert main(["run", path]) == 2
 
 
+class TestSeedsAndSizes:
+    def trajectories_config(self, tmp_path, seed=3, n_traj=200):
+        return write_config(tmp_path / "tj.json", {
+            "experiment": "trajectories",
+            "seed": seed,
+            "params": {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
+                       "mu_R": -0.8, "kappa_L": 1.0, "kappa_R": 1.0,
+                       "tau": 2.0, "n_traj": n_traj},
+            "output": {"path": str(tmp_path / "tj.csv"), "format": "csv"}})
+
+    def tpm_config(self, tmp_path, seed=3):
+        return write_config(tmp_path / "tpm.json", {
+            "experiment": "tpm",
+            "seed": seed,
+            "params": {"eps0": 1.0, "angle": 0.9, "beta": 1.0, "tau": 0.7,
+                       "n_samples": 100},
+            "output": {"path": str(tmp_path / "tpm.csv"), "format": "csv"}})
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64 - 1)])
+    def test_seed_override_out_of_range(self, tmp_path, capsys, seed):
+        for path in (self.trajectories_config(tmp_path),
+                     self.tpm_config(tmp_path)):
+            assert main(["run", path, "--seed", seed]) == 2
+            assert "seed must lie in" in capsys.readouterr().err
+
+    def test_config_seed_out_of_range(self, tmp_path):
+        assert main(["run", self.tpm_config(tmp_path, seed=-1)]) == 2
+        assert main(["run", self.tpm_config(tmp_path, seed=2**64)]) == 2
+
+    def test_top_seed_accepted(self, tmp_path):
+        path = self.trajectories_config(tmp_path, seed=2**64 - 2)
+        assert main(["run", path]) == 0
+        assert main(["run", self.tpm_config(tmp_path, seed=2**64 - 2)]) == 0
+
+    def test_single_trajectory_rejected(self, tmp_path, capsys):
+        assert main(["run", self.trajectories_config(tmp_path, n_traj=1)]) == 2
+        assert "n_traj" in capsys.readouterr().err
+
+
 class TestHeatEngineRuns:
     def test_regime_transitions_along_level_sweep(self, tmp_path):
         path = engine_config(tmp_path)

@@ -11,6 +11,7 @@ from qthermo.models import (DoubleDotParams, FridgeParams, SingleDotParams,
                             single_dot_generator)
 from qthermo.models.common import LOWER, NUMBER, RAISE
 from qthermo.thermo import ReservoirSpec
+from qthermo import trajectories
 from qthermo.trajectories import (PopulationClosureError, TPMProtocol,
                                   backward_ensemble, backward_protocol,
                                   crooks_check, ft_estimators,
@@ -570,6 +571,14 @@ class TestUnravelGolden:
             assert all(type(t) is float and type(k) is int
                        for ev in ens.events for t, k in ev)
 
+    def test_chunking_does_not_change_ensemble(self, monkeypatch):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        p0 = np.array([0.5, 0.5])
+        whole = unravel(gen, ledger, p0, 5.0, 21, 1000)
+        monkeypatch.setattr(trajectories, "_CHUNK", 37)  # 28 chunks
+        chunked = unravel(gen, ledger, p0, 5.0, 21, 1000)
+        assert ensemble_digests(chunked) == ensemble_digests(whole)
+
     def test_prefix_is_independent_of_ensemble_size(self):
         # trajectory i depends only on (seed, i)
         gen, ledger = single_dot_generator(biased_dot_params())
@@ -583,3 +592,66 @@ class TestUnravelGolden:
             assert np.array_equal(big.heat[tag][:777], small.heat[tag])
             assert np.array_equal(big.work[tag][:777], small.work[tag])
         assert big.events[:777] == small.events
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 2])
+    @pytest.mark.parametrize("block, index", [
+        (1, 0), (17, 5), (3, 2**63 + 5), (2**40, 2**64 - 1)])
+    def test_matches_numpy_philox(self, seed, block, index):
+        counters = [tuple(np.full(3, c, dtype=np.uint64)
+                          for c in (block, 0, 0, index)),
+                    (np.uint64(block), np.uint64(0), np.uint64(0),
+                     np.full(3, index, dtype=np.uint64))]
+        words = [np.array(trajectories._philox4x64(c, (seed, 0)))
+                 for c in counters]
+        bitgen = np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64),
+            counter=np.array([block - 1, 0, 0, index], dtype=np.uint64))
+        expected = bitgen.random_raw(4)  # the block after the counter
+        for w in words:
+            assert np.array_equal(w, np.repeat(expected[:, None], 3, axis=1))
+
+
+class TestSeedsAndSizes:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_unravel_rejects_seed_out_of_range(self, seed):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        with pytest.raises(ValueError, match="seed"):
+            unravel(gen, ledger, np.array([0.5, 0.5]), 1.0, seed, 10)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_tpm_sample_rejects_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            tpm_sample(quench_protocol(), seed, 10)
+
+    def test_tpm_sample_large_seeds_are_distinct(self):
+        # keys above 2**63 are kept exactly, not collapsed by a cast
+        prot = quench_protocol()
+        finals = [tpm_sample(prot, seed, 200).final
+                  for seed in (0, 2**63 + 5, 2**63 + 6, 2**64 - 2)]
+        for a in range(len(finals)):
+            for b in range(a):
+                assert not np.array_equal(finals[a], finals[b])
+
+    def test_unravel_top_seed(self):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        ens = unravel(gen, ledger, np.array([0.5, 0.5]), 1.0, 2**64 - 1, 10)
+        assert len(ens) == 10
+
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_unravel_rejects_empty_ensemble(self, n_traj):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        with pytest.raises(ValueError, match="n_traj"):
+            unravel(gen, ledger, np.array([0.5, 0.5]), 1.0, 1, n_traj)
+
+    def test_ft_estimators_need_two_trajectories(self):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        p0 = np.array([0.5, 0.5])
+        one = unravel(gen, ledger, p0, 1.0, 1, 1, record_events=False)
+        many = unravel(gen, ledger, p0, 1.0, 2, 50, record_events=False)
+        with pytest.raises(ValueError, match="2 trajectories"):
+            ft_estimators(one)
+        with pytest.raises(ValueError, match="2 trajectories"):
+            ft_estimators(many, one)
+        assert math.isfinite(ft_estimators(many).integral_stderr)
