@@ -19,7 +19,8 @@ RNG: counter-based Philox4x64-10 streams (Salmon et al., SC'11), so
 identical (seed, params) give bit-identical records regardless of
 execution order or batch size. Seeds are integers in [0, 2**64 - 1].
 
-- ``tpm_sample`` draws from ``np.random.Philox(key=[seed, 0])``.
+- ``tpm_sample`` draws the whole sample from one Philox stream, key
+  [seed, 0].
 - ``unravel``: trajectory i reads the blocks at counters [b, 0, 0, i],
   b = 1, 2, ..., under key [seed, 0]. The uint64 words of those blocks
   in order form its draw stream, each word x giving u = (x >> 11) * 2**-53
@@ -47,10 +48,6 @@ class PopulationClosureError(ValueError):
     """Generator is not population-closed; use the fcs module instead."""
 
 
-# ---------------------------------------------------------------------------
-# Two-point measurement scheme
-# ---------------------------------------------------------------------------
-
 def _check_seed(seed):
     seed = operator.index(seed)
     if not 0 <= seed <= _SEED_MAX:
@@ -58,6 +55,10 @@ def _check_seed(seed):
                          f"got {seed}")
     return seed
 
+
+# ---------------------------------------------------------------------------
+# Two-point measurement scheme
+# ---------------------------------------------------------------------------
 
 def _check_real_symmetric(h):
     h = np.asarray(h)
@@ -237,7 +238,7 @@ def tpm_sample(protocol, seed, n_samples):
     the conditional transition probabilities. Same seed, same stream."""
     seed = _check_seed(seed)
     dist = tpm_distribution(protocol)
-    # an explicit uint64 key: numpy casts a list key through a signed type
+    # a uint64 array key: numpy converts a list key lossily from 2**63 up
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64)))
     dim = dist.p_initial.size

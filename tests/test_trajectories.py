@@ -1,5 +1,6 @@
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -592,6 +593,73 @@ class TestUnravelGolden:
             assert np.array_equal(big.heat[tag][:777], small.heat[tag])
             assert np.array_equal(big.work[tag][:777], small.work[tag])
         assert big.events[:777] == small.events
+
+
+
+def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
+    """Reference sampler: one trajectory at a time, each on a fresh
+    np.random.Philox at counter [0, 0, 0, i], drawing in batches of 64.
+
+    Returns (initial, final, heat, work, events) with heat and work as
+    (reservoir, trajectory) arrays in ``gen.reservoirs()`` order.
+    """
+    _, moves, _ = trajectories._population_structure(gen, ledger)
+    reservoirs, tables, quanta = trajectories._state_tables(gen, ledger,
+                                                            moves)
+    totals, cum, targets, channels = (a.tolist() for a in tables)
+    res_idx, dq, dw = (a.tolist() for a in quanta)
+    cum_p0 = np.cumsum(p0 / p0.sum()).tolist()
+    key = np.array([seed, 0], dtype=np.uint64)
+    out = ([], [], np.zeros((len(reservoirs), n_traj)),
+           np.zeros((len(reservoirs), n_traj)), [])
+    for i in range(n_traj):
+        rng = np.random.Generator(np.random.Philox(
+            key=key, counter=np.array([0, 0, 0, i], dtype=np.uint64)))
+        draws, pos = rng.random(64).tolist(), 1
+        state = min(bisect_right(cum_p0, draws[0]), len(p0) - 1)
+        out[0].append(state)
+        t, ev = 0.0, []
+        while totals[state] > 0.0:
+            if pos + 2 > 64:
+                draws, pos = rng.random(64).tolist(), 0
+            u1, u2 = draws[pos], draws[pos + 1]
+            pos += 2
+            dt = -math.log(1.0 - u1) / totals[state]
+            if t + dt > tau:
+                break
+            t += dt
+            n_moves = sum(1 for c in targets[state] if c >= 0)
+            local = min(bisect_right(cum[state], u2 * totals[state]),
+                        n_moves - 1)
+            k = channels[state][local]
+            out[2][res_idx[k], i] += dq[k]
+            out[3][res_idx[k], i] += dw[k]
+            state = targets[state][local]
+            ev.append((t, k))
+        out[1].append(state)
+        out[4].append(tuple(ev))
+    return out
+
+
+class TestUnravelMatchesScalarReference:
+    @pytest.mark.parametrize("name", ["single_dot_tau150",
+                                      "secular_double_dot",
+                                      "fridge_population_sector",
+                                      "decaying_dot"])
+    @pytest.mark.parametrize("seed", [0, 123456789, 2**63 + 1])
+    def test_bit_identical(self, name, seed):
+        model, p0, tau, _, _, _ = GOLDEN_CASES[name]
+        gen, ledger = model()
+        p0 = np.array(p0)
+        ens = unravel(gen, ledger, p0, tau, seed, 300)
+        initial, final, heat, work, events = scalar_unravel(
+            gen, ledger, p0, tau, seed, 300)
+        assert np.array_equal(ens.initial, initial)
+        assert np.array_equal(ens.final, final)
+        for r, tag in enumerate(gen.reservoirs()):
+            assert np.array_equal(ens.heat[tag], heat[r])
+            assert np.array_equal(ens.work[tag], work[r])
+        assert ens.events == events
 
 
 class TestPhilox:
