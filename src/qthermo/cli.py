@@ -355,6 +355,8 @@ def _run_tpm(cfg):
     beta = float(_need(p, "beta", "params"))
     tau = float(_need(p, "tau", "params"))
     n_samples = _opt(p, "n_samples", 0, int)
+    if n_samples < 0:
+        raise ConfigError("params.n_samples must be >= 0")
     h0 = 0.5 * eps0 * np.array([[1.0, 0.0], [0.0, -1.0]])
     h1 = 0.5 * eps0 * (math.cos(angle) * np.array([[1.0, 0.0], [0.0, -1.0]])
                        + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -3,8 +3,17 @@
 A counting field chi multiplies the jump part L rho L† of selected
 channels by e^{i chi w} where w is the per-channel weight (net particles,
 heat quanta omega - mu n, or chemical work mu n). The dominant eigenvalue
-of the tilted Liouvillian is the scaled cumulant generating function in
-the long-time limit; its chi-derivatives at 0 are the current cumulants.
+nu(chi) of the tilted Liouvillian is the scaled cumulant generating
+function in the long-time limit; its derivatives in s = i chi at 0 are
+the current cumulants.
+
+:func:`cumulants` computes those derivatives exactly, without finite
+differences, by the Rayleigh-Schroedinger recursion for the eigenpair of
+L(s) = L0 + sum_k s^k/k! L_k around the steady state. Each order costs
+one solve with a single LU factorisation of the bordered matrix
+[[L0, rho_ss], [<<1|, 0]], which is nonsingular exactly when the kernel
+of L0 is one-dimensional (a unique steady state); otherwise the
+expansion is not unique and :class:`CountingError` is raised.
 """
 
 import cmath
@@ -13,8 +22,9 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 import numpy as np
+import scipy.linalg
 
-from .qcore import KB, expm_dense, vectorize
+from .qcore import KB, eig_general, expm_dense, trace_vector, vectorize
 from .lindblad import build_liouvillian
 
 
@@ -167,89 +177,66 @@ def dominant_eigenvalue_path(gen, cfg, name, chis):
     return out
 
 
-# Order-dependent base steps for the chi finite differences: fourth-order
-# stencils divide by h^3 / h^4, so larger bases are needed to stay above
-# double-precision eigenvalue noise.
-_BASE_STEPS = {1: 1e-3, 2: 1e-3, 3: 0.05, 4: 0.2}
-
-_STENCILS = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
-}
+# A spectral gap below this at chi = 0 means the kernel of L0 is not
+# one-dimensional, so the dominant eigenvalue has no unique expansion.
+_GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class CumulantReport:
-    """One scaled cumulant <<n^k>>/t with the method that produced it."""
+    """One scaled cumulant <<n^k>>/t."""
 
     order: int
     value: float
-    method: str
-    step: float
 
 
-def _central_derivative(f, order, h):
-    acc = 0.0 + 0.0j
-    for offset, weight in _STENCILS[order]:
-        acc += weight * f(offset * h)
-    return acc / h ** order
+def cumulants(gen, cfg, name, max_order=4):
+    """Scaled cumulants c_m = (-i d/dchi)^m nu(0) for m = 1..max_order.
 
+    Exact to rounding by Rayleigh-Schroedinger perturbation theory in
+    s = i chi (Flindt et al., PRB 82, 155407 (2010)): with
+    L(s) = L0 + sum_k s^k/k! L_k, L_k = sum_ch rate w_ch^k (L-bar x L),
+    rho_0 = rho_ss and lambda_0 = 0, for m >= 1
 
-def _richardson(f, order, h):
-    # central stencils have even error series: two levels remove h^2, h^4
-    d1, d2, d3 = (_central_derivative(f, order, s) for s in (h, h / 2, h / 4))
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
+        lambda_m = sum_{k=1..m} C(m,k) <<1|L_k|rho_{m-k}>>,
+        L0 rho_m = Q sum_{k=1..m} C(m,k) (lambda_k - L_k) rho_{m-k},
+        Tr rho_m = 0,
 
-
-def cumulants(gen, cfg, name, max_order=4, steps=None, method="eigenvalue-derivative",
-              gap_floor=1e-12, rho0=None):
-    """Scaled cumulants (-i d/dchi)^k nu_max(0) for k = 1..max_order.
-
-    Derivatives are central finite differences with two Richardson
-    levels; base steps are order-dependent (see _BASE_STEPS, overridable
-    via ``steps``). ``method="long-time-slope"`` differentiates the slope
-    (S(chi, 2t) - S(chi, t))/t at t = 50/gap instead of the eigenvalue.
-    A dominant-eigenvalue crossing at chi = 0 (spectral gap below
-    ``gap_floor``) is an error.
+    and c_m = Re lambda_m. Every rho_m comes from one LU factorisation
+    of the bordered matrix [[L0, rho_ss], [<<1|, 0]], whose last row
+    fixes the trace and whose last column absorbs the trace of the
+    right-hand side, i.e. applies Q = 1 - |rho_ss>><<1|. The matrix is
+    nonsingular exactly when the kernel of L0 is one-dimensional; a
+    spectral gap below ``_GAP_FLOOR`` (or a nonzero dominant eigenvalue)
+    at chi = 0 raises :class:`CountingError`.
     """
+    if name not in {f.name for f in cfg.fields}:
+        raise CountingError(f"unknown counting field {name!r}")
     bare = build_liouvillian(gen)
-    nu0 = dominant_eigenvalue(bare)
-    gap = spectral_gap(bare)
-    if abs(nu0) > 1e-8 or gap < gap_floor:
+    values, vectors = eig_general(bare)
+    gap = -values[1].real
+    if abs(values[0]) > 1e-8 or gap < _GAP_FLOOR:
         raise CountingError(
             f"dominant eigenvalue not unique/zero at chi = 0 "
-            f"(nu = {nu0:.2e}, gap = {gap:.2e})")
+            f"(nu = {values[0]:.2e}, gap = {gap:.2e})")
+    one = trace_vector(gen.dim)
+    rho_ss = vectors[:, 0] / (one @ vectors[:, 0])
+    lu = scipy.linalg.lu_factor(np.block([[bare, rho_ss[:, None]], [one, 0.0]]))
 
-    if method == "eigenvalue-derivative":
-        def f(chi):
-            if chi == 0.0:
-                return 0.0 + 0.0j
-            return dominant_eigenvalue(counting_liouvillian(gen, cfg,
-                                                            {name: chi}))
-    elif method == "long-time-slope":
-        if rho0 is None:
-            raise ValueError("long-time-slope needs an initial state rho0")
-        t = 50.0 / gap
-
-        def f(chi):
-            values = {name: chi}
-            s1 = cgf(gen, cfg, values, t, rho0)
-            s2 = cgf(gen, cfg, values, 2 * t, rho0)
-            return (s2 - s1) / t
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    steps = {**_BASE_STEPS, **(steps or {})}
-    out = []
-    for order in range(1, max_order + 1):
-        h = steps[order]
-        val = (-1j) ** order * _richardson(f, order, h)
-        out.append(CumulantReport(order, float(val.real), method, h))
-    return out
+    jumps = [(ch.rate, w, np.kron(ch.operator.conj(), ch.operator))
+             for ch, w in zip(gen.channels, cfg.field(name).weights) if w != 0.0]
+    pert = [None] + [sum((rate * w ** k * jump for rate, w, jump in jumps),
+                         np.zeros_like(bare)) for k in range(1, max_order + 1)]
+    rhos, lams = [rho_ss], [0.0]
+    for m in range(1, max_order + 1):
+        kicks = sum(math.comb(m, k) * (pert[k] @ rhos[m - k])
+                    for k in range(1, m + 1))
+        lams.append(complex(one @ kicks))
+        if m < max_order:
+            rhs = sum(math.comb(m, k) * lams[k] * rhos[m - k]
+                      for k in range(1, m + 1)) - kicks
+            rhos.append(scipy.linalg.lu_solve(lu, np.append(rhs, 0.0))[:-1])
+    return [CumulantReport(m, lams[m].real) for m in range(1, max_order + 1)]
 
 
 @dataclass(frozen=True)

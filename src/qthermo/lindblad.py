@@ -136,12 +136,10 @@ def dissipator_apply(op, rho):
     return op @ rho @ dagger(op) - 0.5 * (ld_l @ rho + rho @ ld_l)
 
 
-def _dissipative_superop(gen, reservoir=None):
+def _dissipative_superop(gen):
     d2 = gen.dim ** 2
     out = np.zeros((d2, d2), dtype=complex)
     for ch in gen.channels:
-        if reservoir is not None and ch.reservoir != reservoir:
-            continue
         out += ch.rate * dissipator_superop(ch.operator)
     return out
 
@@ -149,13 +147,6 @@ def _dissipative_superop(gen, reservoir=None):
 def build_liouvillian(gen):
     """Vectorized generator: -i[H, .] + sum_k gamma_k D[L_k]."""
     return commutator_superop(gen.hamiltonian) + _dissipative_superop(gen)
-
-
-def reservoir_dissipator(gen, reservoir):
-    """Superoperator of the dissipative part belonging to one reservoir."""
-    if reservoir not in gen.reservoirs():
-        raise LedgerError(f"generator has no channels tagged {reservoir!r}")
-    return _dissipative_superop(gen, reservoir)
 
 
 def generator_apply(gen, rho):

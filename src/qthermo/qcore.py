@@ -184,59 +184,6 @@ def eig_general(m, tol_residual=TOL_EIG_RESIDUAL):
     return values, vectors
 
 
-def spectral_projectors(m, cluster_tol=1e-9):
-    """Spectral decomposition M = sum_j nu_j P_j with degeneracy-safe projectors.
-
-    Eigenvalues within ``cluster_tol`` of each other (relative to ||M||)
-    are grouped and represented by a single projector onto their joint
-    invariant subspace, so degenerate spectra (routine for Liouvillians
-    at symmetry points) do not produce ill-conditioned rank-1 pieces.
-
-    Returns a list of ``(eigenvalue, projector)`` pairs.
-    """
-    m = np.asarray(m, dtype=complex)
-    values, vectors = eig_general(m)
-    # defective matrices yield (nearly) parallel eigenvectors; inverting
-    # them would silently produce garbage projectors
-    if np.linalg.cond(vectors) > 1e10:
-        raise EigenvalueError("matrix is not diagonalizable within working "
-                              "precision (eigenvector basis is singular)")
-    v_inv = np.linalg.inv(vectors)
-    scale = max(np.linalg.norm(m, 2), 1.0)
-    groups = []
-    used = np.zeros(values.size, dtype=bool)
-    for j in range(values.size):
-        if used[j]:
-            continue
-        members = np.where(np.abs(values - values[j]) <= cluster_tol * scale)[0]
-        members = members[~used[members]]
-        used[members] = True
-        groups.append(members)
-    out = []
-    for members in groups:
-        proj = vectors[:, members] @ v_inv[members, :]
-        out.append((complex(values[members].mean()), proj))
-    return out
-
-
-def expm_apply(m, v, t):
-    """Propagate dv/dt = M v for time t >= 0, returning e^{M t} v.
-
-    Realized with scipy's scaling-and-squaring matrix exponential; the
-    semigroup property e^{M(t1+t2)} = e^{M t1} e^{M t2} is part of the
-    contract and exercised by the test suite.
-    """
-    if t < 0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
-    m = np.asarray(m, dtype=complex)
-    if t == 0:
-        return np.array(v, dtype=complex, copy=True)
-    prop = scipy.linalg.expm(m * t)
-    if not np.all(np.isfinite(prop)):
-        raise FloatingPointError("matrix exponential overflowed/underflowed")
-    return prop @ np.asarray(v, dtype=complex)
-
-
 def expm_dense(m, t):
     """Dense propagator e^{M t}."""
     if t < 0:

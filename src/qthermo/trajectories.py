@@ -281,6 +281,8 @@ class JarzynskiEstimate:
 def jarzynski_estimate(work, beta):
     """Sample estimate of <e^{-beta W}> with its standard error."""
     work = np.asarray(work, dtype=float)
+    if work.size == 0:
+        raise ValueError("Jarzynski estimate needs at least one work sample")
     x = np.exp(-beta * work)
     est = float(x.mean())
     stderr = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0

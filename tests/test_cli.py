@@ -82,12 +82,12 @@ class TestSeedsAndSizes:
                        "tau": 2.0, "n_traj": n_traj},
             "output": {"path": str(tmp_path / "tj.csv"), "format": "csv"}})
 
-    def tpm_config(self, tmp_path, seed=3):
+    def tpm_config(self, tmp_path, seed=3, n_samples=100):
         return write_config(tmp_path / "tpm.json", {
             "experiment": "tpm",
             "seed": seed,
             "params": {"eps0": 1.0, "angle": 0.9, "beta": 1.0, "tau": 0.7,
-                       "n_samples": 100},
+                       "n_samples": n_samples},
             "output": {"path": str(tmp_path / "tpm.csv"), "format": "csv"}})
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64 - 1)])
@@ -109,6 +109,12 @@ class TestSeedsAndSizes:
     def test_single_trajectory_rejected(self, tmp_path, capsys):
         assert main(["run", self.trajectories_config(tmp_path, n_traj=1)]) == 2
         assert "n_traj" in capsys.readouterr().err
+
+    def test_negative_tpm_sample_count_rejected(self, tmp_path, capsys):
+        assert main(["run", self.tpm_config(tmp_path, n_samples=-5)]) == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert not (tmp_path / "tpm.csv").exists()
+        assert main(["run", self.tpm_config(tmp_path, n_samples=0)]) == 0
 
 
 class TestHeatEngineRuns:

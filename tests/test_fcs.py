@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
 from qthermo.fcs import (CountingConfig, CountingError, cgf,
@@ -13,6 +14,7 @@ from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               build_liouvillian, entropy_production_rate,
                               steady_state)
 from qthermo.models.common import LOWER, NUMBER, RAISE
+from qthermo.models.double_dot import DoubleDotParams, double_dot_generator
 from qthermo.qcore import trace_vector
 from qthermo.thermo import ReservoirSpec, fermi_dirac
 
@@ -39,7 +41,7 @@ def analytic_cumulants(kappa_l, kappa_r, max_order, radius=0.1, n_points=512):
 
     Taylor coefficients of nu_plus around chi = 0 from an FFT over a
     small circle in the complex chi plane; independent of the
-    finite-difference pipeline under test.
+    recursion under test.
     """
     thetas = 2 * np.pi * np.arange(n_points) / n_points
     vals = np.array([nu_plus(radius * np.exp(1j * th), kappa_l, kappa_r)
@@ -92,6 +94,8 @@ class TestCountingLiouvillian:
         gen, cfg, _ = high_bias_dot(1.0, 1.0)
         with pytest.raises(CountingError):
             counting_liouvillian(gen, cfg, {"nope": 1.0})
+        with pytest.raises(CountingError):
+            cumulants(gen, cfg, "nope")
 
     def test_uncounted_reservoir_rejected(self):
         gen, _, _ = high_bias_dot(1.0, 1.0)
@@ -194,24 +198,50 @@ class TestCumulants:
         assert worst[0] > worst[1] > worst[2]
         assert worst[2] < 2e-3
 
-    def test_step_halving_stability(self):
-        gen, cfg, name = high_bias_dot(1.3, 0.7)
+    @pytest.mark.parametrize("kl, kr", [(1.3, 0.7), (8.0, 1.0), (100.0, 1.0)])
+    def test_exact_against_analytic_cgf(self, kl, kr):
+        gen, cfg, name = high_bias_dot(kl, kr)
         reps = cumulants(gen, cfg, name, max_order=4)
-        halved = cumulants(gen, cfg, name, max_order=4,
-                           steps={k: v.step / 2 for k, v in
-                                  zip((1, 2, 3, 4), reps)})
-        for a, b in zip(reps, halved):
-            assert abs(a.value - b.value) <= 1e-6 * max(abs(a.value), 1e-12)
+        exact = analytic_cumulants(kl, kr, 4)
+        assert [r.order for r in reps] == [1, 2, 3, 4]
+        for rep, value in zip(reps, exact):
+            assert rep.value == pytest.approx(value, rel=1e-9)
 
-    def test_long_time_slope_method_agrees(self, rng):
-        gen, cfg, name = high_bias_dot(1.3, 0.7)
-        rho0 = qcore.random_density_matrix(2, rng)
-        eig = cumulants(gen, cfg, name, max_order=2)
-        slope = cumulants(gen, cfg, name, max_order=2,
-                          method="long-time-slope", rho0=rho0)
-        for a, b in zip(eig, slope):
-            assert b.method == "long-time-slope"
-            assert abs(a.value - b.value) <= 1e-6 * max(abs(a.value), 1e-12)
+    @settings(max_examples=25, deadline=None)
+    @given(local_double=st.booleans(), eps=st.floats(-1.0, 1.0),
+           g=st.floats(0.05, 0.4), t_l=st.floats(0.3, 2.0),
+           t_r=st.floats(0.3, 2.0), mu_l=st.floats(-1.5, 1.5),
+           mu_r=st.floats(-1.5, 1.5), kappa_l=st.floats(0.1, 2.0),
+           kappa_r=st.floats(0.1, 2.0))
+    def test_matches_contour_oracle(self, local_double, eps, g, t_l, t_r,
+                                    mu_l, mu_r, kappa_l, kappa_r):
+        # independent oracle: Taylor coefficients of the numerically
+        # computed dominant eigenvalue from an FFT over a circle in chi
+        if local_double:
+            gen, _ = double_dot_generator(DoubleDotParams(eps, g, {
+                "L": ReservoirSpec(t_l, mu_l, "fermionic", kappa_l),
+                "R": ReservoirSpec(t_r, mu_r, "fermionic", kappa_r)}))
+        else:
+            gen, _ = biased_dot(eps, kappa_l, kappa_r, t_l, mu_l, mu_r)
+        cfg = CountingConfig.particle(gen, "R")
+        name = cfg.fields[0].name
+        gap = spectral_gap(build_liouvillian(gen))
+        scale = sum(ch.rate for ch in gen.channels)
+        radius = min(0.5, 0.2 * gap / scale)
+        n_points = 64
+        chis = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+        nus = [dominant_eigenvalue(counting_liouvillian(gen, cfg, {name: c}))
+               for c in chis]
+        coeffs = np.fft.fft(nus) / n_points
+        reps = cumulants(gen, cfg, name, max_order=4)
+        for rep in reps:
+            k = rep.order
+            oracle = ((-1j) ** k * coeffs[k] * math.factorial(k)
+                      / radius ** k).real
+            # the oracle's rounding error is about 1e-16 * |nu| k! / radius^k
+            # with |nu| <~ scale * radius; the worst seen is 32 times that
+            tol = 1e-13 * scale * math.factorial(k) / radius ** (k - 1)
+            assert abs(rep.value - oracle) <= tol
 
     def test_degenerate_dominant_eigenvalue_rejected(self):
         # two decoupled dots: the Liouvillian kernel is degenerate

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from qthermo import qcore
-from qthermo.qcore import (commutator_superop, dagger,
-                           eig_general, expm_apply, kron, partial_trace,
-                           spectral_projectors, spre, spost, trace_vector,
-                           unvectorize, vectorize)
+from qthermo.qcore import (commutator_superop, dagger, eig_general,
+                           expm_dense, kron, partial_trace, spre, spost,
+                           trace_vector, unvectorize, vectorize)
 
 
 def random_complex(rng, *shape):
@@ -122,30 +121,6 @@ class TestEig:
         vals, _ = eig_general(random_complex(rng, 6, 6))
         assert np.all(np.diff(vals.real) <= 1e-12)
 
-    def test_projector_reconstruction(self, rng):
-        m = random_complex(rng, 6, 6)
-        parts = spectral_projectors(m)
-        rebuilt = sum(nu * p for nu, p in parts)
-        assert np.max(np.abs(rebuilt - m)) < 1e-7 * np.linalg.norm(m, 2)
-        total = sum(p for _, p in parts)
-        assert np.max(np.abs(total - np.eye(6))) < 1e-8
-
-    def test_projectors_reject_defective_matrix(self):
-        from qthermo.qcore import EigenvalueError
-        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(EigenvalueError):
-            spectral_projectors(jordan)
-
-    def test_projectors_degenerate_subspace(self, rng):
-        # doubly degenerate eigenvalue: projectors must come from the
-        # invariant subspace, not ill-conditioned single vectors
-        u = np.linalg.qr(random_complex(rng, 4, 4))[0]
-        m = u @ np.diag([2.0, 2.0, -1.0, 0.5]) @ dagger(u)
-        parts = spectral_projectors(m, cluster_tol=1e-9)
-        assert len(parts) == 3
-        rebuilt = sum(nu * p for nu, p in parts)
-        assert np.max(np.abs(rebuilt - m)) < 1e-7 * np.linalg.norm(m, 2)
-
 
 def rk4_oracle(m, v, t, n_steps=4000):
     """Independent fixed-step RK4 integration of dv/dt = M v."""
@@ -161,38 +136,40 @@ def rk4_oracle(m, v, t, n_steps=4000):
 
 
 class TestExpmApply:
+    """e^{Mt} applied to a vector through :func:`qcore.expm_dense`."""
+
     def test_zero_time(self, rng):
         m = random_complex(rng, 4, 4)
         v = random_complex(rng, 4)
-        assert np.array_equal(expm_apply(m, v, 0.0), v)
+        assert np.array_equal(expm_dense(m, 0.0) @ v, v)
 
     def test_scalar_decay(self):
-        out = expm_apply(np.array([[-1.0]]), np.array([1.0]), 1.0)
+        out = expm_dense(np.array([[-1.0]]), 1.0) @ np.array([1.0])
         assert abs(out[0] - np.exp(-1.0)) < 1e-12
 
     def test_matches_rk4(self, rng):
         m = random_complex(rng, 4, 4)
         v = random_complex(rng, 4)
-        got = expm_apply(m, v, 0.7)
+        got = expm_dense(m, 0.7) @ v
         want = rk4_oracle(m, v, 0.7)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_semigroup_property(self, rng):
         m = random_complex(rng, 5, 5)
         v = random_complex(rng, 5)
-        once = expm_apply(m, v, 0.9)
-        twice = expm_apply(m, expm_apply(m, v, 0.4), 0.5)
+        once = expm_dense(m, 0.9) @ v
+        twice = expm_dense(m, 0.5) @ (expm_dense(m, 0.4) @ v)
         assert np.max(np.abs(once - twice)) < 1e-8 * max(np.max(np.abs(once)), 1)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            expm_apply(np.eye(2), np.ones(2), -1.0)
+            expm_dense(np.eye(2), -1.0)
 
     def test_unitary_generator_preserves_state(self, rng):
         # pure commutator: trace and Hermiticity survive to 1e-9
         h = qcore.random_hermitian(3, rng)
         rho = qcore.random_density_matrix(3, rng)
-        out = unvectorize(expm_apply(commutator_superop(h), vectorize(rho), 2.3))
+        out = unvectorize(expm_dense(commutator_superop(h), 2.3) @ vectorize(rho))
         assert abs(np.trace(out) - 1.0) < 1e-9
         assert np.max(np.abs(out - dagger(out))) < 1e-9
 

@@ -713,6 +713,11 @@ class TestSeedsAndSizes:
         with pytest.raises(ValueError, match="n_traj"):
             unravel(gen, ledger, np.array([0.5, 0.5]), 1.0, 1, n_traj)
 
+    def test_jarzynski_estimate_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="work sample"):
+            jarzynski_estimate([], 1.0)
+        assert jarzynski_estimate([0.0], 1.0).estimate == 1.0
+
     def test_ft_estimators_need_two_trajectories(self):
         gen, ledger = single_dot_generator(biased_dot_params())
         p0 = np.array([0.5, 0.5])
