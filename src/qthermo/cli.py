@@ -6,8 +6,8 @@ trajectory computations, and writes machine-readable result tables
 3 numerical failure (any non-finite value aborts).
 
 Config dialect: JSON, schema "json/1"; unknown keys are rejected at
-every nesting level. Sweep points run concurrently (thread count via
-QTHERMO_NUM_THREADS); output rows are ordered by sweep index.
+every nesting level. Sweep points run one after another, in sweep
+order, one output row each.
 """
 
 import argparse
@@ -18,7 +18,6 @@ import sys
 import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
                      fridge_observables, fridge_switchoff_protocol,
                      single_dot_generator)
 from .models.fridge import product_gibbs_state
-from .models.single_dot import engine_efficiency, engine_regime
+from .models.single_dot import engine_efficiency, regime_from_currents
 from .thermo import ReservoirSpec
 from .trajectories import (TPMProtocol, backward_ensemble, backward_protocol,
                            ft_estimators, tpm_distribution, tpm_sample,
@@ -43,7 +42,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 CONFIG_DIALECT = "json/1"
-ENV_THREADS = "QTHERMO_NUM_THREADS"
 # seeds are 64-bit Philox key words; trajectories also uses seed + 1
 SEED_MAX = 2**64 - 2
 
@@ -173,7 +171,7 @@ def _engine_point(p):
     eta = engine_efficiency(params)
     if eta is None:
         raise NumericalFailure("efficiency undefined at eps_d = mu_h")
-    return [p_c + p_h, j_c, j_h, eta, engine_regime(params)]
+    return [p_c + p_h, j_c, j_h, eta, regime_from_currents(cur)]
 
 
 def _run_heat_engine(cfg):
@@ -436,15 +434,8 @@ def _sweepable(cfg, point_fn, cols, units):
     if not isinstance(params[name], (int, float)) or isinstance(params[name], bool):
         raise ConfigError(f"sweep parameter {name!r} is not numeric")
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
-
-    def at(value):
-        local = dict(params)
-        local[name] = float(value)
-        return [float(value)] + point_fn(local)
-
-    workers = int(os.environ.get(ENV_THREADS, "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(at, values))
+    rows = [[float(value)] + point_fn({**params, name: float(value)})
+            for value in values]
     return [name] + cols, ["param"] + units, rows
 
 

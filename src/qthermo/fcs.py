@@ -102,10 +102,9 @@ def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
         if chi != 0.0:
             phases = phases + chi * np.asarray(f.weights)
     tilted = build_liouvillian(gen)
-    for k, ch in enumerate(gen.channels):
+    for k, (ch, jump) in enumerate(zip(gen.channels, gen._jump_superops)):
         if phases[k] != 0.0:
             factor = cmath.exp(1j * phases[k]) - 1.0
-            jump = np.kron(ch.operator.conj(), ch.operator)
             tilted = tilted + ch.rate * factor * jump
     return tilted
 
@@ -223,8 +222,9 @@ def cumulants(gen, cfg, name, max_order=4):
     rho_ss = vectors[:, 0] / (one @ vectors[:, 0])
     lu = scipy.linalg.lu_factor(np.block([[bare, rho_ss[:, None]], [one, 0.0]]))
 
-    jumps = [(ch.rate, w, np.kron(ch.operator.conj(), ch.operator))
-             for ch, w in zip(gen.channels, cfg.field(name).weights) if w != 0.0]
+    jumps = [(ch.rate, w, jump) for ch, w, jump
+             in zip(gen.channels, cfg.field(name).weights, gen._jump_superops)
+             if w != 0.0]
     pert = [None] + [sum((rate * w ** k * jump for rate, w, jump in jumps),
                          np.zeros_like(bare)) for k in range(1, max_order + 1)]
     rhos, lams = [rho_ss], [0.0]

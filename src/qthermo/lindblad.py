@@ -5,19 +5,29 @@ A :class:`GKLSGenerator` is a Hermitian Hamiltonian plus a list of
 Hamiltonian, particle-number operator, reservoir table) turns generator
 action into heat currents, powers, and entropy production.
 
+The superoperator of a generator is assembled once, on first use, and
+cached on the generator as a read-only array; :func:`build_liouvillian`,
+:func:`propagate`, :func:`steady_state` and the counting functions in
+``fcs`` all share it. It lives as long as the generator: d^4 complex
+entries, 16 MB at d = 32 and 268 MB at d = 64. The per-channel jump
+superoperators that ``fcs`` tilts are cached the same way on first use
+(d^4 entries per channel). A generator's arrays must therefore not be
+modified in place once it has been used.
+
 Sign convention: heat and power are positive when they flow *into* the
 reservoir they are tagged with.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Tuple
 
 import numpy as np
 
 from .qcore import (KB, TOL_HERM, commutator_superop, dagger,
                     dissipator_superop, expm_dense, hermitize, is_hermitian,
-                    unvectorize, vectorize)
+                    kron, unvectorize, vectorize)
 from .thermo import ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient
@@ -86,6 +96,26 @@ class GKLSGenerator:
                 seen.append(ch.reservoir)
         return seen
 
+    @cached_property
+    def _liouvillian(self):
+        """Read-only -i[H, .] + sum_k gamma_k D[L_k], assembled on first use."""
+        d2 = self.dim ** 2
+        dissipative = np.zeros((d2, d2), dtype=complex)
+        for ch in self.channels:
+            dissipative += ch.rate * dissipator_superop(ch.operator)
+        liou = commutator_superop(self.hamiltonian) + dissipative
+        liou.flags.writeable = False
+        return liou
+
+    @cached_property
+    def _jump_superops(self):
+        """Read-only L-bar (x) L of every channel, in channel order."""
+        jumps = tuple(kron(ch.operator.conj(), ch.operator)
+                      for ch in self.channels)
+        for jump in jumps:
+            jump.flags.writeable = False
+        return jumps
+
 
 @dataclass(frozen=True)
 class ThermoLedger:
@@ -136,17 +166,13 @@ def dissipator_apply(op, rho):
     return op @ rho @ dagger(op) - 0.5 * (ld_l @ rho + rho @ ld_l)
 
 
-def _dissipative_superop(gen):
-    d2 = gen.dim ** 2
-    out = np.zeros((d2, d2), dtype=complex)
-    for ch in gen.channels:
-        out += ch.rate * dissipator_superop(ch.operator)
-    return out
-
-
 def build_liouvillian(gen):
-    """Vectorized generator: -i[H, .] + sum_k gamma_k D[L_k]."""
-    return commutator_superop(gen.hamiltonian) + _dissipative_superop(gen)
+    """Vectorized generator: -i[H, .] + sum_k gamma_k D[L_k].
+
+    The array is assembled once per generator and returned read-only on
+    every call; copy it before modifying it.
+    """
+    return gen._liouvillian
 
 
 def generator_apply(gen, rho):
@@ -206,40 +232,47 @@ def steady_state(gen, kernel_tol=1e-10):
     return rho
 
 
-def heat_current(gen, ledger, rho, reservoir):
-    """Heat current into the reservoir: -Tr{(H_TD - mu N_S) L_alpha rho}."""
-    validate_ledger(gen, ledger)
-    if reservoir not in gen.reservoirs():
-        raise LedgerError(f"generator has no channels tagged {reservoir!r}")
+def _reservoir_currents(gen, ledger, rho, reservoir):
+    """(heat current, power) into one reservoir; the ledger is not checked.
+
+    D[L]rho is formed once per channel and serves both traces.
+    """
     mu = ledger.reservoirs[reservoir].chemical_potential
     obs = ledger.h_td - mu * ledger.n_s
-    out = 0.0
+    heat = work = 0.0
     for ch in gen.channels:
         if ch.reservoir != reservoir:
             continue
-        out -= ch.rate * np.trace(obs @ dissipator_apply(ch.operator, rho)).real
-    return float(out)
+        d_rho = dissipator_apply(ch.operator, rho)
+        heat -= ch.rate * np.trace(obs @ d_rho).real
+        work -= mu * ch.rate * np.trace(ledger.n_s @ d_rho).real
+    return float(heat), float(work)
+
+
+def _checked_reservoir_currents(gen, ledger, rho, reservoir):
+    validate_ledger(gen, ledger)
+    if reservoir not in gen.reservoirs():
+        raise LedgerError(f"generator has no channels tagged {reservoir!r}")
+    return _reservoir_currents(gen, ledger, rho, reservoir)
+
+
+def heat_current(gen, ledger, rho, reservoir):
+    """Heat current into the reservoir: -Tr{(H_TD - mu N_S) L_alpha rho}."""
+    return _checked_reservoir_currents(gen, ledger, rho, reservoir)[0]
 
 
 def power(gen, ledger, rho, reservoir):
     """Chemical power into the reservoir: -mu_alpha Tr{N_S L_alpha rho}."""
-    validate_ledger(gen, ledger)
-    if reservoir not in gen.reservoirs():
-        raise LedgerError(f"generator has no channels tagged {reservoir!r}")
-    mu = ledger.reservoirs[reservoir].chemical_potential
-    out = 0.0
-    for ch in gen.channels:
-        if ch.reservoir != reservoir:
-            continue
-        out -= mu * ch.rate * np.trace(
-            ledger.n_s @ dissipator_apply(ch.operator, rho)).real
-    return float(out)
+    return _checked_reservoir_currents(gen, ledger, rho, reservoir)[1]
 
 
 def all_currents(gen, ledger, rho):
-    """dict reservoir -> (heat current, power), both positive into it."""
-    return {alpha: (heat_current(gen, ledger, rho, alpha),
-                    power(gen, ledger, rho, alpha))
+    """dict reservoir -> (heat current, power), both positive into it.
+
+    The ledger is validated once for all reservoirs.
+    """
+    validate_ledger(gen, ledger)
+    return {alpha: _reservoir_currents(gen, ledger, rho, alpha)
             for alpha in gen.reservoirs()}
 
 
@@ -263,11 +296,13 @@ def entropy_production_rate(gen, ledger, rho):
     Non-negative (within numerical dust) for every valid GKLS generator
     with thermal channels; exactly zero in equilibrium.
     """
+    validate_ledger(gen, ledger)
     sdot = KB * entropy_rate(gen, rho)
     for alpha in gen.reservoirs():
         res = ledger.reservoirs[alpha]
+        heat, _ = _reservoir_currents(gen, ledger, rho, alpha)
         # J/T with T stored as k_B T: physical J/T = k_B J / (k_B T)
-        sdot += KB * heat_current(gen, ledger, rho, alpha) / res.temperature
+        sdot += KB * heat / res.temperature
     return float(sdot)
 
 

@@ -128,17 +128,22 @@ def carnot_cop(params):
 def engine_regime(params):
     """Operating regime from the signs of (P, J_c, J_h) at steady state.
 
+    See :func:`regime_from_currents` for the classification.
+    """
+    gen, ledger = single_dot_generator(params)
+    return regime_from_currents(all_currents(gen, ledger, steady_state(gen)))
+
+
+def regime_from_currents(currents):
+    """Operating regime from ``all_currents`` of the engine's steady state.
+
     heat_engine: P > 0; refrigerator: heat leaves the cold reservoir;
     joint_heating: both reservoirs absorb heat; dual_dissipation: power
     is dissipated while heat still flows hot -> cold.
     """
-    gen, ledger = single_dot_generator(params)
-    rho = steady_state(gen)
-    cur = all_currents(gen, ledger, rho)
-    j_c, p_c = cur["c"]
-    j_h, p_h = cur["h"]
-    p_out = p_c + p_h
-    if p_out > 0.0:
+    j_c, p_c = currents["c"]
+    j_h, p_h = currents["h"]
+    if p_c + p_h > 0.0:
         return "heat_engine"
     if j_c < 0.0:
         return "refrigerator"

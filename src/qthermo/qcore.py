@@ -84,8 +84,16 @@ def random_hermitian(dim, rng, scale=1.0):
 
 
 def kron(a, b):
-    """Kronecker product of two operators."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices, as one broadcast multiply.
+
+    Every entry is the same single product a[i, j] * b[k, l] that
+    ``np.kron`` forms, so the result is bitwise equal to it; only the
+    generic-shape bookkeeping of ``np.kron`` is skipped.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    (n, m), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * p, m * q)
 
 
 def partial_trace(c, dim_a, dim_b, keep="A"):
@@ -132,13 +140,13 @@ def unvectorize(v):
 def spre(a):
     """Superoperator for left multiplication, X -> A X."""
     a = np.asarray(a)
-    return np.kron(np.eye(a.shape[0]), a)
+    return kron(np.eye(a.shape[0]), a)
 
 
 def spost(b):
     """Superoperator for right multiplication, X -> X B."""
     b = np.asarray(b)
-    return np.kron(b.T, np.eye(b.shape[0]))
+    return kron(b.T, np.eye(b.shape[0]))
 
 
 def commutator_superop(h):
@@ -149,7 +157,7 @@ def commutator_superop(h):
 def dissipator_superop(op):
     """Superoperator for rho -> L rho L† - {L†L, rho}/2."""
     ld_l = dagger(op) @ op
-    return (np.kron(op.conj(), op)
+    return (kron(op.conj(), op)
             - 0.5 * spre(ld_l)
             - 0.5 * spost(ld_l))
 

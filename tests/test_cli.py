@@ -1,9 +1,15 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qthermo.cli import main, run, validate
+from qthermo.models import SingleDotParams, engine_regime
+from qthermo.thermo import ReservoirSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, payload):
@@ -130,6 +136,26 @@ class TestHeatEngineRuns:
         assert "refrigerator" in regimes
         assert regimes[-1] == "heat_engine"
 
+    def test_regime_column_matches_engine_regime(self, tmp_path):
+        # the committed level sweep crosses all four regimes; every row's
+        # label must equal the model's own classification of that point
+        config = CONFIGS / "heat_engine_levels.json"
+        out = tmp_path / "levels.csv"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        p = json.loads(config.read_text())["params"]
+        rows = [line.strip().split(",") for line in read_body(out)[1:]]
+        for row in rows:
+            params = SingleDotParams(
+                float(row[0]),
+                {"c": ReservoirSpec(p["T_c"], p["mu_c"], "fermionic",
+                                    p["kappa_c"]),
+                 "h": ReservoirSpec(p["T_h"], p["mu_h"], "fermionic",
+                                    p["kappa_h"])})
+            assert row[-1] == engine_regime(params)
+        assert Counter(row[-1] for row in rows) == {
+            "heat_engine": 45, "dual_dissipation": 40, "joint_heating": 10,
+            "refrigerator": 6}
+
     def test_lasso_reaches_carnot_at_stopping_voltage(self, tmp_path):
         path = engine_config(
             tmp_path,
@@ -150,15 +176,6 @@ class TestHeatEngineRuns:
         first = read_body(tmp_path / "out.csv")
         assert main(["run", path]) == 0
         assert read_body(tmp_path / "out.csv") == first
-
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        path = engine_config(tmp_path)
-        monkeypatch.setenv("QTHERMO_NUM_THREADS", "1")
-        assert main(["run", path]) == 0
-        serial = read_body(tmp_path / "out.csv")
-        monkeypatch.setenv("QTHERMO_NUM_THREADS", "7")
-        assert main(["run", path]) == 0
-        assert read_body(tmp_path / "out.csv") == serial
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "out.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qthermo import qcore
+from qthermo import lindblad, qcore
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, LedgerError,
                               MultistabilityError, ThermoLedger,
                               all_currents, build_liouvillian,
@@ -24,6 +24,20 @@ def single_dot(eps=1.0, kappa=0.4, temperature=0.7, mu=0.2):
         JumpChannel(RAISE, kappa * nf, "B", -eps, -1)))
     ledger = ThermoLedger(eps * NUMBER, NUMBER, {"B": res})
     return gen, ledger, res, nf
+
+
+def engine(eps=1.4):
+    """Dot between a cold and a hot fermionic reservoir."""
+    res_c = ReservoirSpec(0.35, 0.6, "fermionic", 0.3)
+    res_h = ReservoirSpec(1.0, 0.0, "fermionic", 0.7)
+    nfc, nfh = fermi_dirac(eps, res_c), fermi_dirac(eps, res_h)
+    gen = GKLSGenerator(eps * NUMBER, (
+        JumpChannel(LOWER, 0.3 * (1 - nfc), "c", eps, 1),
+        JumpChannel(RAISE, 0.3 * nfc, "c", -eps, -1),
+        JumpChannel(LOWER, 0.7 * (1 - nfh), "h", eps, 1),
+        JumpChannel(RAISE, 0.7 * nfh, "h", -eps, -1)))
+    ledger = ThermoLedger(eps * NUMBER, NUMBER, {"c": res_c, "h": res_h})
+    return gen, ledger, nfc, nfh
 
 
 def random_generator(rng, dim=3, n_channels=2):
@@ -106,6 +120,19 @@ class TestLiouvillian:
         gen = random_generator(rng)
         resid = trace_vector(gen.dim) @ build_liouvillian(gen)
         assert np.max(np.abs(resid)) < 1e-12
+
+    def test_assembled_once_and_read_only(self, rng):
+        gen = random_generator(rng)
+        liou = build_liouvillian(gen)
+        assert build_liouvillian(gen) is liou
+        assert not liou.flags.writeable
+        with pytest.raises(ValueError):
+            liou[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            liou *= 2.0
+        steady_state(gen)
+        propagate(gen, qcore.random_density_matrix(3, rng), 0.5)
+        assert build_liouvillian(gen) is liou
 
 
 class TestPropagate:
@@ -213,6 +240,39 @@ class TestBookkeeping:
             assert abs(dh_dt + drain) <= 1e-8 * max(abs(dh_dt), 1e-12)
 
 
+class TestLedgerChecks:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        original = lindblad.validate_ledger
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "validate_ledger", counted)
+        return calls
+
+    @pytest.mark.parametrize("fn", [all_currents, entropy_production_rate])
+    def test_validated_once_per_call(self, fn, validations):
+        gen, ledger, *_ = engine()
+        fn(gen, ledger, steady_state(gen))
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize("fn", [all_currents, entropy_production_rate])
+    def test_mismatched_ledger_rejected(self, fn):
+        gen, ledger, *_ = engine()
+        rho = steady_state(gen)
+        wrong_energy = ThermoLedger(2.0 * ledger.h_td, ledger.n_s,
+                                    ledger.reservoirs)
+        with pytest.raises(LedgerError):
+            fn(gen, wrong_energy, rho)
+        unlisted = ThermoLedger(ledger.h_td, ledger.n_s,
+                                {"c": ledger.reservoirs["c"]})
+        with pytest.raises(LedgerError):
+            fn(gen, unlisted, rho)
+
+
 class TestEntropyProduction:
     def test_single_dot_closed_form(self):
         gen, ledger, res, nf = single_dot(eps=1.0, kappa=0.4, mu=0.2)
@@ -233,15 +293,7 @@ class TestEntropyProduction:
 
     def test_engine_steady_state_closed_form(self):
         eps = 1.4
-        res_c = ReservoirSpec(0.35, 0.6, "fermionic", 0.3)
-        res_h = ReservoirSpec(1.0, 0.0, "fermionic", 0.7)
-        nfc, nfh = fermi_dirac(eps, res_c), fermi_dirac(eps, res_h)
-        gen = GKLSGenerator(eps * NUMBER, (
-            JumpChannel(LOWER, 0.3 * (1 - nfc), "c", eps, 1),
-            JumpChannel(RAISE, 0.3 * nfc, "c", -eps, -1),
-            JumpChannel(LOWER, 0.7 * (1 - nfh), "h", eps, 1),
-            JumpChannel(RAISE, 0.7 * nfh, "h", -eps, -1)))
-        ledger = ThermoLedger(eps * NUMBER, NUMBER, {"c": res_c, "h": res_h})
+        gen, ledger, nfc, nfh = engine(eps)
         rho = steady_state(gen)
         expected = (0.3 * 0.7 / (0.3 + 0.7) * (nfh - nfc)
                     * ((eps - 0.6) / 0.35 - (eps - 0.0) / 1.0))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qthermo import qcore
-from qthermo.qcore import (commutator_superop, dagger, eig_general,
-                           expm_dense, kron, partial_trace, spre, spost,
-                           trace_vector, unvectorize, vectorize)
+from qthermo.qcore import (commutator_superop, dagger, dissipator_superop,
+                           eig_general, expm_dense, kron, partial_trace, spre,
+                           spost, trace_vector, unvectorize, vectorize)
 
 
 def random_complex(rng, *shape):
@@ -25,6 +25,56 @@ class TestKron:
         lhs = kron(a, b) @ kron(c, d)
         rhs = kron(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def assert_bitwise(out, ref):
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.array_equal(out, ref) and out.tobytes() == ref.tobytes()
+
+
+def kernel_pair(rng, case):
+    """Two factors for the broadcast-kernel checks, by input kind."""
+    return {
+        "square": lambda: (random_complex(rng, 3, 3), random_complex(rng, 2, 2)),
+        "non-square": lambda: (random_complex(rng, 2, 3),
+                               random_complex(rng, 4, 1)),
+        "real-complex": lambda: (rng.normal(size=(3, 2)),
+                                 random_complex(rng, 2, 3)),
+        "complex-real": lambda: (random_complex(rng, 2, 2),
+                                 rng.normal(size=(3, 3))),
+        "identity": lambda: (np.eye(3), random_complex(rng, 2, 2)),
+        "sparse": lambda: (np.array([[0.0, 1.0], [0.0, 0.0]]),
+                           np.array([[0.0, -1.0j], [0.0, -0.0]])),
+    }[case]()
+
+
+KERNEL_CASES = ("square", "non-square", "real-complex", "complex-real",
+                "identity", "sparse")
+
+
+class TestBroadcastKernels:
+    """kron, spre, spost and dissipator_superop equal their np.kron
+    formulas bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_kron(self, rng, case):
+        a, b = kernel_pair(rng, case)
+        assert_bitwise(kron(a, b), np.kron(a, b))
+        assert_bitwise(kron(b, a), np.kron(b, a))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_superoperators(self, rng, case):
+        for op in kernel_pair(rng, case):
+            if op.shape[0] != op.shape[1]:
+                continue
+            eye = np.eye(op.shape[0])
+            assert_bitwise(spre(op), np.kron(eye, op))
+            assert_bitwise(spost(op), np.kron(op.T, eye))
+            op = op.astype(complex)
+            ld_l = dagger(op) @ op
+            assert_bitwise(dissipator_superop(op),
+                           np.kron(op.conj(), op) - 0.5 * np.kron(eye, ld_l)
+                           - 0.5 * np.kron(ld_l.T, eye))
 
 
 class TestPartialTrace:
