@@ -267,10 +267,11 @@ class TestLedgerChecks:
                                     ledger.reservoirs)
         with pytest.raises(LedgerError):
             fn(gen, wrong_energy, rho)
-        unlisted = ThermoLedger(ledger.h_td, ledger.n_s,
-                                {"c": ledger.reservoirs["c"]})
-        with pytest.raises(LedgerError):
-            fn(gen, unlisted, rho)
+        for kept in ("c", "h"):
+            unlisted = ThermoLedger(ledger.h_td, ledger.n_s,
+                                    {kept: ledger.reservoirs[kept]})
+            with pytest.raises(LedgerError):
+                fn(gen, unlisted, rho)
 
 
 class TestEntropyProduction:
