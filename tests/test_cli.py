@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -312,6 +313,46 @@ class TestOtherExperiments:
         est, err = rows["ift_estimate"]
         assert abs(est - 1.0) < 4 * err
         assert rows["negative_sigma_fraction"][0] > 0
+
+
+class TestGoldenBodies:
+    """SHA-256 of the CSV table body of every committed config.
+
+    The body is every line that does not start with '#', so the metadata
+    block (wall time, version) is excluded. The digests were recorded with
+    numpy 2.4.6 / scipy 1.17.1 on OpenBLAS, on an x86-64 CPU; another
+    numpy, LAPACK or CPU may round differently and change them without any
+    change to qthermo. On the recording stack they pin the table bodies bit
+    for bit, which is what the stacked-channel kernels must preserve.
+    """
+
+    DIGESTS = {
+        "absorption_switchoff":
+            "07eefd85251604cef5d24fe6dafd49c6e13c292ad5f67b0674058d05421d349a",
+        "double_dot_entanglement":
+            "4de145c051bfc81547fe12873b55c0623b2b91d720561de74a5ad887a0e1692e",
+        "fcs_biased_dot":
+            "f4db9dc861147f2143c28ca0f47f6154e506ecea561ba26199a05b44977a9598",
+        "heat_engine_lasso":
+            "eadf32fb1e960010d89c2b439a8aa645b767e9dd734a8be97941d89aaae57e03",
+        "heat_engine_levels":
+            "c92f5d30174e5a006e24477bfda07fd63f0656c159d2d2bb7f9eacc67e7a4341",
+        "tpm_quench":
+            "b14206183362173d9cac85b44812337e023d5c1260037ca19b13e4526643acdb",
+        "trajectories_ft":
+            "2276abef3396fd6b3a72146d02d37b78cf9e0bc63f7647992fd65f53ddab1e8a",
+    }
+
+    def test_every_config_is_pinned(self):
+        assert sorted(p.stem for p in CONFIGS.glob("*.json")) == \
+            sorted(self.DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_csv_body_digest(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        run(str(CONFIGS / f"{name}.json"), out=str(out), fmt="csv")
+        body = "".join(read_body(out))
+        assert hashlib.sha256(body.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestValidate:
