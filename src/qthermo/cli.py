@@ -92,10 +92,21 @@ def _check_seed(seed):
     return seed
 
 
+def _finite_number(text):
+    # json.load accepts the literals NaN, Infinity and -Infinity, and reads
+    # an out-of-range literal such as 1e999 as inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config; every "
+                          "number must be finite")
+    return value
+
+
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -5,14 +5,24 @@ A :class:`GKLSGenerator` is a Hermitian Hamiltonian plus a list of
 Hamiltonian, particle-number operator, reservoir table) turns generator
 action into heat currents, powers, and entropy production.
 
+A generator keeps its k channels as one :class:`ChannelStack`, formed on
+first use: the operators L_k, their adjoints and L_k†L_k as ``(k, d, d)``
+arrays, plus the rates and quanta. The ladder check, D[L_k]rho for the
+currents, entropy production and :func:`generator_apply` each act on the
+whole stack with a few batched numpy calls; sums over channels are still
+taken one channel at a time, in channel order, from the same start as a
+per-channel loop, so every result keeps its bits.
+
 The superoperator of a generator is assembled once, on first use, and
 cached on the generator as a read-only array; :func:`build_liouvillian`,
 :func:`propagate`, :func:`steady_state` and the counting functions in
 ``fcs`` all share it. It lives as long as the generator: d^4 complex
-entries, 16 MB at d = 32 and 268 MB at d = 64. The per-channel jump
-superoperators that ``fcs`` tilts are cached the same way on first use
-(d^4 entries per channel). A generator's arrays must therefore not be
-modified in place once it has been used.
+entries, 16 MB at d = 32 and 268 MB at d = 64. Assembly adds one
+channel's d^4 terms at a time, so it holds a fixed number of d^4
+temporaries whatever the channel count. The jump superoperators
+L-bar (x) L that ``fcs`` tilts are one ``(k, d^2, d^2)`` array, cached the
+same way on first use (d^4 entries per channel). A generator's arrays
+must therefore not be modified in place once it has been used.
 
 Sign convention: heat and power are positive when they flow *into* the
 reservoir they are tagged with.
@@ -21,13 +31,13 @@ reservoir they are tagged with.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .qcore import (KB, TOL_HERM, commutator_superop, dagger,
-                    dissipator_superop, expm_dense, hermitize, is_hermitian,
-                    kron, unvectorize, vectorize)
+from .qcore import (KB, TOL_HERM, commutator_superop, dagger, dissipate,
+                    dissipator_apply, dissipator_superop, expm_dense,
+                    hermitize, is_hermitian, kron, unvectorize, vectorize)
 from .thermo import ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient
@@ -60,12 +70,29 @@ class JumpChannel:
     particle_quantum: int = 0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"GKLS rate must be >= 0, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"GKLS rate must be finite and >= 0, "
+                             f"got {self.rate}")
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("jump operator must be square")
         object.__setattr__(self, "operator", op)
+
+
+class ChannelStack(NamedTuple):
+    """The channels of a generator along a leading axis k, in channel order."""
+
+    ops: np.ndarray              # (k, d, d) jump operators L_k
+    daggers: np.ndarray          # (k, d, d) L_k†
+    ld_l: np.ndarray             # (k, d, d) L_k† L_k
+    rates: np.ndarray            # (k,) gamma_k
+    energy_quanta: np.ndarray    # (k,) omega_k
+    particle_quanta: np.ndarray  # (k,) n_k
+
+    def dissipate(self, rho):
+        """D[L_k] rho for every channel, shape (k, d, d)."""
+        return dissipate(self.ops, self.daggers, self.ld_l,
+                         np.asarray(rho, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -97,23 +124,42 @@ class GKLSGenerator:
         return seen
 
     @cached_property
+    def _stack(self):
+        """Read-only :class:`ChannelStack` of the channels, formed on first use."""
+        d = self.dim
+        ops = np.array([ch.operator for ch in self.channels],
+                       dtype=complex).reshape(-1, d, d)
+        daggers = dagger(ops)
+        stack = ChannelStack(
+            ops, daggers, daggers @ ops,
+            np.array([ch.rate for ch in self.channels], dtype=float),
+            np.array([ch.energy_quantum for ch in self.channels], dtype=float),
+            np.array([ch.particle_quantum for ch in self.channels], dtype=int))
+        for arr in stack:
+            arr.flags.writeable = False
+        return stack
+
+    @cached_property
     def _liouvillian(self):
-        """Read-only -i[H, .] + sum_k gamma_k D[L_k], assembled on first use."""
+        """Read-only -i[H, .] + sum_k gamma_k D[L_k], assembled on first use.
+
+        One channel's d^4 terms at a time: stacking them over channels
+        would hold k d^4 temporaries.
+        """
         d2 = self.dim ** 2
         dissipative = np.zeros((d2, d2), dtype=complex)
-        for ch in self.channels:
-            dissipative += ch.rate * dissipator_superop(ch.operator)
+        for rate, op in zip(self._stack.rates, self._stack.ops):
+            dissipative += rate * dissipator_superop(op)
         liou = commutator_superop(self.hamiltonian) + dissipative
         liou.flags.writeable = False
         return liou
 
     @cached_property
     def _jump_superops(self):
-        """Read-only L-bar (x) L of every channel, in channel order."""
-        jumps = tuple(kron(ch.operator.conj(), ch.operator)
-                      for ch in self.channels)
-        for jump in jumps:
-            jump.flags.writeable = False
+        """Read-only L-bar (x) L of every channel, shape (k, d^2, d^2)."""
+        ops = self._stack.ops
+        jumps = kron(ops.conj(), ops)
+        jumps.flags.writeable = False
         return jumps
 
 
@@ -139,31 +185,34 @@ class ThermoLedger:
 def validate_ledger(gen, ledger, tol=1e-9):
     """Check the ladder identities of every channel against the ledger.
 
-    [L, H_TD] = omega L and [L, N_S] = n L within ``tol``; every channel
-    must be tagged with a reservoir present in the ledger.
+    [L, H_TD] = omega L and [L, N_S] = n L within ``tol * max(max|L|, 1)``,
+    each channel against its own scale; every channel must be tagged with
+    a reservoir present in the ledger. The residuals of all channels are
+    formed at once; the first failing channel, in channel order, raises,
+    and a missing reservoir is reported before that channel's residuals.
     """
-    for ch in gen.channels:
+    stack = gen._stack
+    ops = stack.ops
+    err_h = _max_abs(ops @ ledger.h_td - ledger.h_td @ ops
+                     - stack.energy_quanta[:, None, None] * ops)
+    err_n = _max_abs(ops @ ledger.n_s - ledger.n_s @ ops
+                     - stack.particle_quanta[:, None, None] * ops)
+    bound = tol * np.maximum(_max_abs(ops), 1.0)
+    violated = (err_h > bound) | (err_n > bound)
+    for k, ch in enumerate(gen.channels):
         if ch.reservoir not in ledger.reservoirs:
             raise LedgerError(f"channel tagged {ch.reservoir!r} has no "
                               "reservoir entry in the ledger")
-        op = ch.operator
-        scale = max(float(np.max(np.abs(op))), 1.0)
-        err_h = np.max(np.abs(op @ ledger.h_td - ledger.h_td @ op
-                              - ch.energy_quantum * op))
-        err_n = np.max(np.abs(op @ ledger.n_s - ledger.n_s @ op
-                              - ch.particle_quantum * op))
-        if err_h > tol * scale or err_n > tol * scale:
+        if violated[k]:
             raise LedgerError(
                 f"channel ({ch.reservoir}, omega={ch.energy_quantum}) violates "
-                f"the ladder identities (errors {err_h:.2e}, {err_n:.2e})")
+                f"the ladder identities (errors {err_h[k]:.2e}, "
+                f"{err_n[k]:.2e})")
 
 
-def dissipator_apply(op, rho):
-    """L rho L† - {L†L, rho}/2 by direct operator arithmetic."""
-    op = np.asarray(op, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    ld_l = dagger(op) @ op
-    return op @ rho @ dagger(op) - 0.5 * (ld_l @ rho + rho @ ld_l)
+def _max_abs(stack):
+    """max |entry| of each matrix in a (k, d, d) stack."""
+    return np.abs(stack).max(axis=(1, 2))
 
 
 def build_liouvillian(gen):
@@ -179,8 +228,9 @@ def generator_apply(gen, rho):
     """Action of the full generator on a state, by direct arithmetic."""
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
-    for ch in gen.channels:
-        out = out + ch.rate * dissipator_apply(ch.operator, rho)
+    stack = gen._stack
+    for term in stack.rates[:, None, None] * stack.dissipate(rho):
+        out = out + term
     return out
 
 
@@ -232,28 +282,38 @@ def steady_state(gen, kernel_tol=1e-10):
     return rho
 
 
-def _reservoir_currents(gen, ledger, rho, reservoir):
-    """(heat current, power) into one reservoir; the ledger is not checked.
+def _reservoir_currents(gen, ledger, rho):
+    """dict reservoir -> (heat current, power); the ledger is not checked.
 
-    D[L]rho is formed once per channel and serves both traces.
+    D[L_k]rho of every channel is formed in one batch and serves both
+    traces; each reservoir's sums run over its channels in channel order.
     """
-    mu = ledger.reservoirs[reservoir].chemical_potential
-    obs = ledger.h_td - mu * ledger.n_s
-    heat = work = 0.0
-    for ch in gen.channels:
-        if ch.reservoir != reservoir:
-            continue
-        d_rho = dissipator_apply(ch.operator, rho)
-        heat -= ch.rate * np.trace(obs @ d_rho).real
-        work -= mu * ch.rate * np.trace(ledger.n_s @ d_rho).real
-    return float(heat), float(work)
+    stack = gen._stack
+    mus = np.array([ledger.reservoirs[ch.reservoir].chemical_potential
+                    for ch in gen.channels], dtype=float)
+    d_rho = stack.dissipate(rho)
+    obs = ledger.h_td - mus[:, None, None] * ledger.n_s
+    heat_terms = stack.rates * _traces(obs, d_rho)
+    work_terms = (mus * stack.rates) * _traces(ledger.n_s, d_rho)
+    totals = {alpha: [0.0, 0.0] for alpha in gen.reservoirs()}
+    for ch, heat, work in zip(gen.channels, heat_terms, work_terms):
+        total = totals[ch.reservoir]
+        total[0] -= heat
+        total[1] -= work
+    return {alpha: (float(heat), float(work))
+            for alpha, (heat, work) in totals.items()}
+
+
+def _traces(a, b):
+    """Re Tr(A_k B_k) for every k; a single A broadcasts over the stack."""
+    return np.trace(a @ b, axis1=1, axis2=2).real
 
 
 def _checked_reservoir_currents(gen, ledger, rho, reservoir):
     validate_ledger(gen, ledger)
     if reservoir not in gen.reservoirs():
         raise LedgerError(f"generator has no channels tagged {reservoir!r}")
-    return _reservoir_currents(gen, ledger, rho, reservoir)
+    return _reservoir_currents(gen, ledger, rho)[reservoir]
 
 
 def heat_current(gen, ledger, rho, reservoir):
@@ -272,8 +332,7 @@ def all_currents(gen, ledger, rho):
     The ledger is validated once for all reservoirs.
     """
     validate_ledger(gen, ledger)
-    return {alpha: _reservoir_currents(gen, ledger, rho, alpha)
-            for alpha in gen.reservoirs()}
+    return _reservoir_currents(gen, ledger, rho)
 
 
 def entropy_rate(gen, rho):
@@ -298,11 +357,9 @@ def entropy_production_rate(gen, ledger, rho):
     """
     validate_ledger(gen, ledger)
     sdot = KB * entropy_rate(gen, rho)
-    for alpha in gen.reservoirs():
-        res = ledger.reservoirs[alpha]
-        heat, _ = _reservoir_currents(gen, ledger, rho, alpha)
+    for alpha, (heat, _) in _reservoir_currents(gen, ledger, rho).items():
         # J/T with T stored as k_B T: physical J/T = k_B J / (k_B T)
-        sdot += KB * heat / res.temperature
+        sdot += KB * heat / ledger.reservoirs[alpha].temperature
     return float(sdot)
 
 

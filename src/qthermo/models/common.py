@@ -22,8 +22,14 @@ class ValidityWarning(UserWarning):
 
 
 def warn_margin(condition_text, value, scale, margin):
+    """Warn when value > margin * scale.
+
+    Called from a params dataclass's ``__post_init__``; stacklevel 4 skips
+    this function, ``__post_init__`` and the generated ``__init__``, so the
+    warning names the line that built the params.
+    """
     if value > margin * scale:
         warnings.warn(
             f"{condition_text}: {value:.3g} exceeds {margin} * {scale:.3g}; "
             "the master equation may not be a faithful description",
-            ValidityWarning, stacklevel=3)
+            ValidityWarning, stacklevel=4)

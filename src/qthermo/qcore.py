@@ -2,8 +2,11 @@
 
 Everything here works on plain numpy arrays: operators are ``(d, d)``
 complex matrices, superoperators are ``(d*d, d*d)`` matrices acting on
-column-stacked operators. Intended for small Hilbert spaces (d <= ~64);
-no sparse or tensor-network representations.
+column-stacked operators. :func:`dagger`, :func:`kron`, :func:`spre`,
+:func:`spost` and :func:`dissipator_superop` also take stacks ``(..., d, d)``
+and act on each trailing matrix, with the same bits as one call per matrix.
+Intended for small Hilbert spaces (d <= ~64); no sparse or tensor-network
+representations.
 
 Conventions
 -----------
@@ -13,6 +16,7 @@ Conventions
   ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,8 +38,8 @@ class EigenvalueError(RuntimeError):
 
 
 def dagger(m):
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.asarray(m).swapaxes(-1, -2).conj()
 
 
 def is_hermitian(m, tol=TOL_HERM):
@@ -88,12 +92,15 @@ def kron(a, b):
 
     Every entry is the same single product a[i, j] * b[k, l] that
     ``np.kron`` forms, so the result is bitwise equal to it; only the
-    generic-shape bookkeeping of ``np.kron`` is skipped.
+    generic-shape bookkeeping of ``np.kron`` is skipped. Leading axes
+    broadcast: stacks ``(..., n, m)`` and ``(..., p, q)`` give the stack
+    ``(..., n*p, m*q)`` of the pairwise products.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    (n, m), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * p, m * q)
+    (n, m), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (n * p, m * q))
 
 
 def partial_trace(c, dim_a, dim_b, keep="A"):
@@ -137,16 +144,24 @@ def unvectorize(v):
     return v.reshape((d, d), order="F")
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(dim):
+    """Read-only ``np.eye(dim)``, shared by every superoperator built."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def spre(a):
     """Superoperator for left multiplication, X -> A X."""
     a = np.asarray(a)
-    return kron(np.eye(a.shape[0]), a)
+    return kron(_identity(a.shape[-1]), a)
 
 
 def spost(b):
     """Superoperator for right multiplication, X -> X B."""
     b = np.asarray(b)
-    return kron(b.T, np.eye(b.shape[0]))
+    return kron(b.swapaxes(-1, -2), _identity(b.shape[-1]))
 
 
 def commutator_superop(h):
@@ -160,6 +175,18 @@ def dissipator_superop(op):
     return (kron(op.conj(), op)
             - 0.5 * spre(ld_l)
             - 0.5 * spost(ld_l))
+
+
+def dissipator_apply(op, rho):
+    """L rho L† - {L†L, rho}/2 by direct operator arithmetic."""
+    op = np.asarray(op, dtype=complex)
+    op_dag = dagger(op)
+    return dissipate(op, op_dag, op_dag @ op, np.asarray(rho, dtype=complex))
+
+
+def dissipate(op, op_dag, ld_l, rho):
+    """:func:`dissipator_apply` with L† and L†L already formed."""
+    return op @ rho @ op_dag - 0.5 * (ld_l @ rho + rho @ ld_l)
 
 
 def trace_vector(dim):

@@ -45,6 +45,10 @@ class ReservoirSpec:
     coupling: float = 0.0
 
     def __post_init__(self):
+        for name in ("temperature", "chemical_potential", "coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.coupling < 0:

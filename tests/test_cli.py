@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qthermo.cli import main, run, validate
+from qthermo.cli import ConfigError, load_config, main, run, validate
 from qthermo.models import SingleDotParams, engine_regime
 from qthermo.thermo import ReservoirSpec
 
@@ -72,6 +72,18 @@ class TestConfigParsing:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg).replace("Infinity", "1e999"))
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, literal):
+        text = open(engine_config(tmp_path)).read()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"kappa_c": 1.0', f'"kappa_c": {literal}'))
+        with pytest.raises(ConfigError, match=f"non-finite number {literal}"):
+            load_config(str(bad))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite number {literal}" in err
 
     def test_unknown_experiment(self, tmp_path):
         path = write_config(tmp_path / "c.json",

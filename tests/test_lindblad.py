@@ -54,6 +54,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             JumpChannel(LOWER, -0.1, "B")
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            JumpChannel(LOWER, rate, "B")
+
     def test_nonhermitian_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             GKLSGenerator(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
@@ -272,6 +277,51 @@ class TestLedgerChecks:
                                     {kept: ledger.reservoirs[kept]})
             with pytest.raises(LedgerError):
                 fn(gen, unlisted, rho)
+
+
+class TestLedgerOrderAndScale:
+    """validate_ledger reports the first failing channel in channel order,
+    a missing reservoir before that channel's ladder residuals, and
+    measures each channel's residuals against its own max(max|L|, 1)."""
+
+    def ledger(self):
+        res = ReservoirSpec(0.7, 0.2, "fermionic", 0.4)
+        return ThermoLedger(NUMBER, NUMBER, {"B": res})
+
+    def check(self, *channels):
+        validate_ledger(GKLSGenerator(NUMBER, channels), self.ledger())
+
+    GOOD = JumpChannel(LOWER, 0.1, "B", 1.0, 1)
+    BAD = JumpChannel(LOWER, 0.1, "B", 0.5, 1)        # wrong omega
+    UNLISTED = JumpChannel(RAISE, 0.1, "X", -1.0, -1)
+    UNLISTED_BAD = JumpChannel(RAISE, 0.1, "X", 0.5, -1)
+
+    @pytest.mark.parametrize("channels, message", [
+        ((GOOD, BAD, UNLISTED), r"\(B, omega=0.5\) violates"),
+        ((GOOD, UNLISTED, BAD), "'X' has no reservoir entry"),
+        ((BAD, UNLISTED), r"\(B, omega=0.5\) violates"),
+        ((UNLISTED_BAD, BAD), "'X' has no reservoir entry"),
+    ])
+    def test_first_failure_in_channel_order(self, channels, message):
+        with pytest.raises(LedgerError, match=message):
+            self.check(*channels)
+
+    def test_valid_channels_pass(self):
+        self.check(self.GOOD, JumpChannel(RAISE, 0.2, "B", -1.0, -1))
+
+    def test_residual_scale_is_per_channel(self):
+        # a 1e-7 residual passes on a channel with max|L| = 1e3 (bound
+        # 1e-6) and fails on one with max|L| = 1 (bound 1e-9), whatever
+        # the other channels of the generator are
+        large = JumpChannel(1e3 * LOWER, 0.1, "B", 1.0, 1)
+        tilted = JumpChannel(1e3 * LOWER + 1e-7 * NUMBER, 0.1, "B", 1.0, 1)
+        small_tilted = JumpChannel(LOWER + 1e-7 * NUMBER, 0.1, "B", 1.0, 1)
+        self.check(tilted, self.GOOD)
+        self.check(self.GOOD, tilted)
+        with pytest.raises(LedgerError, match="violates"):
+            self.check(large, small_tilted)
+        with pytest.raises(LedgerError, match="violates"):
+            self.check(small_tilted, large)
 
 
 class TestEntropyProduction:

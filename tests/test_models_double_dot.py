@@ -121,6 +121,14 @@ class TestGenerator:
                 "L": ReservoirSpec(0.7, 0.9, "fermionic", 0.3),
                 "R": ReservoirSpec(0.4, -0.2, "fermionic", 0.2)})
 
+    @pytest.mark.parametrize("mode, g", [("local", 2.0), ("secular", 0.05)])
+    def test_warning_names_the_line_that_built_the_params(self, mode, g):
+        with pytest.warns(ValidityWarning) as caught:
+            DoubleDotParams(2.0, g, {
+                "L": ReservoirSpec(0.7, 0.9, "fermionic", 0.3),
+                "R": ReservoirSpec(0.4, -0.2, "fermionic", 0.2)}, mode=mode)
+        assert caught and {w.filename for w in caught} == {__file__}
+
     def test_secular_mode_warns_on_large_kappa(self):
         with pytest.warns(ValidityWarning):
             DoubleDotParams(2.0, 0.05, {

@@ -66,6 +66,11 @@ class TestGenerator:
         with pytest.warns(ValidityWarning):
             SingleDotParams(1.0, {"B": ReservoirSpec(0.5, 0.0, "fermionic", 2.0)})
 
+    def test_warning_names_the_line_that_built_the_params(self):
+        with pytest.warns(ValidityWarning) as caught:
+            SingleDotParams(1.0, {"B": ReservoirSpec(0.5, 0.0, "fermionic", 2.0)})
+        assert [w.filename for w in caught] == [__file__]
+
     def test_three_reservoirs_rejected(self):
         res = ReservoirSpec(1.0, 0.0, "fermionic", 0.01)
         with pytest.raises(ValueError):

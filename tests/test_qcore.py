@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
-from qthermo.qcore import (commutator_superop, dagger, dissipator_superop,
-                           eig_general, expm_dense, kron, partial_trace, spre,
-                           spost, trace_vector, unvectorize, vectorize)
+from qthermo.qcore import (commutator_superop, dagger, dissipator_apply,
+                           dissipator_superop, eig_general, expm_dense, kron,
+                           partial_trace, spre, spost, trace_vector,
+                           unvectorize, vectorize)
 
 
 def random_complex(rng, *shape):
@@ -73,6 +75,46 @@ class TestBroadcastKernels:
         assert_bitwise(dissipator_superop(op),
                        np.kron(op.conj(), op) - 0.5 * np.kron(eye, ld_l)
                        - 0.5 * np.kron(ld_l.T, eye))
+
+
+class TestStackedKernels:
+    """On a (k, d, d) stack each kernel returns, slice by slice, the bytes of
+    its call on that 2-D slice; k = 0 gives an empty stack of the right
+    shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3, 4, 8]), k=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_slices(self, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, k, dim, dim), random_complex(rng, k, dim, dim)
+        a[rng.random(a.shape) < 0.3] = -0.0
+        b.real[rng.random(b.shape) < 0.3] = 0.0
+        single, rho = random_complex(rng, dim, dim), random_complex(rng, dim, dim)
+        stacked = {
+            "dagger": (dagger(a), lambda i: dagger(a[i])),
+            "kron": (kron(a, b), lambda i: kron(a[i], b[i])),
+            "kron, 2-D left": (kron(single, b), lambda i: kron(single, b[i])),
+            "kron, 2-D right": (kron(a, single), lambda i: kron(a[i], single)),
+            "spre": (spre(a), lambda i: spre(a[i])),
+            "spost": (spost(a), lambda i: spost(a[i])),
+            "dissipator_superop": (dissipator_superop(a),
+                                   lambda i: dissipator_superop(a[i])),
+            "dissipator_apply": (dissipator_apply(a, rho),
+                                 lambda i: dissipator_apply(a[i], rho)),
+        }
+        for name, (out, per_slice) in stacked.items():
+            side = dim if name in ("dagger", "dissipator_apply") else dim ** 2
+            assert out.shape == (k, side, side), name
+            for i in range(k):
+                assert_bitwise(out[i], per_slice(i))
+
+    def test_dissipator_apply_matches_superoperator(self, rng):
+        ops = random_complex(rng, 3, 4, 4)
+        rho = random_complex(rng, 4, 4)
+        for op, d_rho in zip(ops, dissipator_apply(ops, rho)):
+            direct = unvectorize(dissipator_superop(op) @ vectorize(rho))
+            assert np.max(np.abs(d_rho - direct)) < 1e-12
 
 
 class TestPartialTrace:

@@ -24,6 +24,15 @@ class TestReservoirSpec:
         with pytest.raises(ValueError):
             ReservoirSpec(temperature=1.0, coupling=-0.1)
 
+    @pytest.mark.parametrize("field", ["temperature", "chemical_potential",
+                                       "coupling"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_numbers(self, field, value):
+        kwargs = {"temperature": 1.0, "chemical_potential": 0.0,
+                  "coupling": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ReservoirSpec(**kwargs)
+
     def test_bosonic_needs_zero_mu(self):
         with pytest.raises(ValueError):
             ReservoirSpec(temperature=1.0, chemical_potential=0.3,
