@@ -92,20 +92,21 @@ def _check_seed(seed):
     return seed
 
 
-def _finite_number(text):
-    # json.load accepts the literals NaN, Infinity and -Infinity, and reads
-    # an out-of-range literal such as 1e999 as inf
-    value = float(text)
-    if not math.isfinite(value):
+def _finite_number(text, kind=float):
+    # json.load accepts the literals NaN, Infinity and -Infinity, reads a
+    # float literal beyond the double range (1e999) as inf, and an integer
+    # literal beyond it as an int that float() cannot convert
+    if not math.isfinite(float(text)):
         raise ConfigError(f"non-finite number {text} in config; every "
-                          "number must be finite")
-    return value
+                          "number must be a finite double")
+    return kind(text)
 
 
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_number,
+                            parse_int=lambda text: _finite_number(text, int),
                             parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -74,7 +74,7 @@ class TestConfigParsing:
         assert main(["run", str(bad)]) == 2
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
-                                         "1e999"])
+                                         "1e999", "1" + "0" * 400])
     def test_non_finite_number_rejected(self, tmp_path, capsys, literal):
         text = open(engine_config(tmp_path)).read()
         bad = tmp_path / "bad.json"
