@@ -6,8 +6,11 @@ trajectory computations, and writes machine-readable result tables
 3 numerical failure (any non-finite value aborts).
 
 Config dialect: JSON, schema "json/1"; unknown keys are rejected at
-every nesting level. Sweep points run one after another, in sweep
-order, one output row each.
+every nesting level. A sweep runs as one batch along a leading sweep axis
+(see ``qthermo.lindblad``): each stage acts on all points at once, and
+the table has one row per point, in sweep order. When points fail, the
+first failing point in sweep order reports its error, the one a
+point-by-point run would have stopped at.
 """
 
 import argparse
@@ -26,10 +29,10 @@ from .fcs import CountingConfig, cumulants, tur_audit
 from .lindblad import (all_currents, entropy_production_rate, propagate,
                        steady_state)
 from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
-                     double_dot_concurrence, entanglement_heat_threshold,
+                     double_dot_sweep_concurrence, entanglement_heat_threshold,
                      fridge_coherent_transient, fridge_generator,
-                     fridge_observables, fridge_switchoff_protocol,
-                     single_dot_generator)
+                     fridge_sweep_observables, fridge_switchoff_protocol,
+                     single_dot_generator, stack_sweep, sweep_map)
 from .models.fridge import product_gibbs_state
 from .models.single_dot import engine_efficiency, regime_from_currents
 from .thermo import ReservoirSpec
@@ -158,38 +161,49 @@ def _reservoir(cfg, where, statistics="fermionic"):
 # Experiment table builders: each returns (columns, units, rows)
 # ---------------------------------------------------------------------------
 
+def _fermionic(p, tags):
+    """Fermionic reservoirs from the params T_<tag>, mu_<tag>, kappa_<tag>."""
+    return {tag: ReservoirSpec(float(_need(p, f"T_{tag}", "params")),
+                               float(_opt(p, f"mu_{tag}", 0.0)), "fermionic",
+                               float(_need(p, f"kappa_{tag}", "params")))
+            for tag in tags}
+
+
+def _dot_params(p, keys, tags):
+    _check_keys(p, keys, "params")
+    return SingleDotParams(float(_need(p, "eps_d", "params")),
+                           _fermionic(p, tags))
+
+
 _ENGINE_KEYS = {"eps_d", "T_c", "T_h", "mu_c", "mu_h", "kappa_c", "kappa_h"}
 
 
 def _engine_params(p):
-    _check_keys(p, _ENGINE_KEYS, "params")
-    return SingleDotParams(
-        float(_need(p, "eps_d", "params")),
-        {"c": ReservoirSpec(float(_need(p, "T_c", "params")),
-                            float(_opt(p, "mu_c", 0.0)), "fermionic",
-                            float(_need(p, "kappa_c", "params"))),
-         "h": ReservoirSpec(float(_need(p, "T_h", "params")),
-                            float(_opt(p, "mu_h", 0.0)), "fermionic",
-                            float(_need(p, "kappa_h", "params")))})
+    return _dot_params(p, _ENGINE_KEYS, "ch")
 
 
-def _engine_point(p):
-    params = _engine_params(p)
-    gen, ledger = single_dot_generator(params)
-    rho = steady_state(gen)
-    cur = all_currents(gen, ledger, rho)
-    j_c, p_c = cur["c"]
-    j_h, p_h = cur["h"]
-    eta = engine_efficiency(params)
-    if eta is None:
-        raise NumericalFailure("efficiency undefined at eps_d = mu_h")
-    return [p_c + p_h, j_c, j_h, eta, regime_from_currents(cur)]
+def _engine_rows(points):
+    params = sweep_map(_engine_params, points)
+    gen, ledger = stack_sweep(sweep_map(single_dot_generator, params))
+    currents = {tag: (heat.tolist(), work.tolist()) for tag, (heat, work)
+                in all_currents(gen, ledger, steady_state(gen)).items()}
+    (j_c, p_c), (j_h, p_h) = currents["c"], currents["h"]
+
+    def row(i):
+        eta = engine_efficiency(params[i])
+        if eta is None:
+            raise NumericalFailure("efficiency undefined at eps_d = mu_h")
+        regime = regime_from_currents(
+            {tag: (heat[i], work[i]) for tag, (heat, work) in currents.items()})
+        return [p_c[i] + p_h[i], j_c[i], j_h[i], eta, regime]
+
+    return sweep_map(row, range(len(params)))
 
 
 def _run_heat_engine(cfg):
     cols = ["P", "J_c", "J_h", "eta", "regime"]
     units = ["kref^2", "kref^2", "kref^2", "1", "-"]
-    return _sweepable(cfg, _engine_point, cols, units)
+    return _sweepable(cfg, _engine_rows, cols, units)
 
 
 _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
@@ -199,27 +213,22 @@ _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
 def _double_dot_params(p):
     _check_keys(p, _DOUBLE_DOT_KEYS, "params")
     return DoubleDotParams(
-        float(_need(p, "eps", "params")),
-        float(_need(p, "g", "params")),
-        {"L": ReservoirSpec(float(_need(p, "T_L", "params")),
-                            float(_opt(p, "mu_L", 0.0)), "fermionic",
-                            float(_need(p, "kappa_L", "params"))),
-         "R": ReservoirSpec(float(_need(p, "T_R", "params")),
-                            float(_opt(p, "mu_R", 0.0)), "fermionic",
-                            float(_need(p, "kappa_R", "params")))},
-        mode=_opt(p, "mode", "local", str))
+        float(_need(p, "eps", "params")), float(_need(p, "g", "params")),
+        _fermionic(p, "LR"), mode=_opt(p, "mode", "local", str))
 
 
-def _double_dot_point(p):
-    params = _double_dot_params(p)
-    j_r, j_crit, entangled = entanglement_heat_threshold(params)
-    return [double_dot_concurrence(params), j_r, j_crit, int(entangled)]
+def _double_dot_rows(points):
+    params = sweep_map(_double_dot_params, points)
+    thresholds = sweep_map(entanglement_heat_threshold, params)
+    conc = double_dot_sweep_concurrence(params).tolist()
+    return [[c, j_r, j_crit, int(entangled)]
+            for c, (j_r, j_crit, entangled) in zip(conc, thresholds)]
 
 
 def _run_double_dot(cfg):
     cols = ["concurrence", "J_R", "J_crit", "entangled"]
     units = ["1", "kref^2", "kref^2", "bool"]
-    return _sweepable(cfg, _double_dot_point, cols, units)
+    return _sweepable(cfg, _double_dot_rows, cols, units)
 
 
 _FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
@@ -242,17 +251,17 @@ def _fridge_params(p):
         **kwargs)
 
 
-def _fridge_point(p):
-    params = _fridge_params(p)
-    amp, j_c, j_h, j_r, theta, cooling = fridge_observables(params)
-    return [amp, j_c, j_h, j_r, theta, int(cooling)]
+def _fridge_rows(points):
+    return [[amp, j_c, j_h, j_r, theta, int(cooling)]
+            for amp, j_c, j_h, j_r, theta, cooling in
+            fridge_sweep_observables(sweep_map(_fridge_params, points))]
 
 
 def _run_absorption(cfg):
     if cfg["sweep"] is not None:
         cols = ["I", "J_c", "J_h", "J_r", "theta", "cooling"]
         units = ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"]
-        return _sweepable(cfg, _fridge_point, cols, units)
+        return _sweepable(cfg, _fridge_rows, cols, units)
     # transient protocol: run with the interaction on until the first
     # temperature minimum, switch off there, keep recording
     p = dict(cfg["params"])
@@ -322,26 +331,23 @@ def _run_single_dot(cfg):
 _FCS_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R"}
 
 
-def _fcs_point(p):
-    _check_keys(p, _FCS_KEYS, "params")
-    params = SingleDotParams(
-        float(_need(p, "eps_d", "params")),
-        {"L": ReservoirSpec(float(_need(p, "T_L", "params")),
-                            float(_opt(p, "mu_L", 0.0)), "fermionic",
-                            float(_need(p, "kappa_L", "params"))),
-         "R": ReservoirSpec(float(_need(p, "T_R", "params")),
-                            float(_opt(p, "mu_R", 0.0)), "fermionic",
-                            float(_need(p, "kappa_R", "params")))})
-    gen, ledger = single_dot_generator(params)
+def _fcs_rows(points):
+    params = sweep_map(lambda p: _dot_params(p, _FCS_KEYS, "LR"), points)
+    gen, ledger = stack_sweep(sweep_map(single_dot_generator, params))
     cfg = CountingConfig.particle(gen, "R")
     reports = cumulants(gen, cfg, cfg.fields[0].name, max_order=4)
-    c = [r.value for r in reports]
-    rho = steady_state(gen)
-    sigma_dot = entropy_production_rate(gen, ledger, rho)
-    audit = tur_audit(c[0], c[1], sigma_dot)
-    satisfied = -1 if audit.satisfied is None else int(audit.satisfied)
-    return [c[0], c[1], c[2], c[3], c[1] / c[0], sigma_dot,
-            audit.ratio, audit.bound, satisfied]
+    c = [r.value.tolist() for r in reports]
+    sigma_dot = entropy_production_rate(gen, ledger,
+                                        steady_state(gen)).tolist()
+
+    def row(i):
+        c1, c2, c3, c4 = (c_m[i] for c_m in c)
+        audit = tur_audit(c1, c2, sigma_dot[i])
+        satisfied = -1 if audit.satisfied is None else int(audit.satisfied)
+        return [c1, c2, c3, c4, c2 / c1, sigma_dot[i],
+                audit.ratio, audit.bound, satisfied]
+
+    return sweep_map(row, range(len(params)))
 
 
 def _run_fcs(cfg):
@@ -349,7 +355,7 @@ def _run_fcs(cfg):
             "tur_bound", "tur_satisfied"]
     units = ["kref", "kref", "kref", "kref", "1", "kB*kref", "1/kref",
              "1/kref", "bool"]
-    return _sweepable(cfg, _fcs_point, cols, units)
+    return _sweepable(cfg, _fcs_rows, cols, units)
 
 
 _TPM_KEYS = {"eps0", "angle", "beta", "tau", "n_samples"}
@@ -398,15 +404,7 @@ def _run_trajectories(cfg):
         raise ConfigError("trajectories emits a summary table; sweep not "
                           "supported")
     p = cfg["params"]
-    _check_keys(p, _TRAJ_KEYS, "params")
-    params = SingleDotParams(
-        float(_need(p, "eps_d", "params")),
-        {"L": ReservoirSpec(float(_need(p, "T_L", "params")),
-                            float(_opt(p, "mu_L", 0.0)), "fermionic",
-                            float(_need(p, "kappa_L", "params"))),
-         "R": ReservoirSpec(float(_need(p, "T_R", "params")),
-                            float(_opt(p, "mu_R", 0.0)), "fermionic",
-                            float(_need(p, "kappa_R", "params")))})
+    params = _dot_params(p, _TRAJ_KEYS, "LR")
     tau = float(_need(p, "tau", "params"))
     n_traj = _need(p, "n_traj", "params", int)
     if n_traj < 2:
@@ -434,21 +432,45 @@ def _run_trajectories(cfg):
     return cols, units, rows
 
 
-def _sweepable(cfg, point_fn, cols, units):
-    """Run a per-point experiment, optionally sweeping one numeric param."""
+def _sweepable(cfg, rows_fn, cols, units):
+    """Run an experiment at one point, or as one batch over a sweep of one
+    numeric param; ``rows_fn`` maps a list of param dicts to their rows."""
     params = cfg["params"]
     sweep = cfg["sweep"]
     if sweep is None:
-        return cols, units, [point_fn(params)]
+        return cols, units, _first_failure(rows_fn, [params])
     name = sweep["name"]
     if name not in params:
         raise ConfigError(f"sweep parameter {name!r} not present in params")
     if not isinstance(params[name], (int, float)) or isinstance(params[name], bool):
         raise ConfigError(f"sweep parameter {name!r} is not numeric")
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
-    rows = [[float(value)] + point_fn({**params, name: float(value)})
-            for value in values]
-    return [name] + cols, ["param"] + units, rows
+    points = [{**params, name: float(value)} for value in values]
+    rows = _first_failure(rows_fn, points)
+    return ([name] + cols, ["param"] + units,
+            [[point[name]] + row for point, row in zip(points, rows)])
+
+
+def _first_failure(rows_fn, points):
+    """``rows_fn(points)``, or the error of the first failing point.
+
+    A stage of the batch raises at its first failing point, tagged with
+    its index as ``point``. A point before it may still fail in a later
+    stage, so those points run again until a batch runs clean; each rerun
+    stops in a later stage, so there are at most as many as stages.
+    """
+    n, failure = len(points), None
+    while n:
+        try:
+            rows = rows_fn(points[:n])
+            break
+        except Exception as exc:  # an error without a point is raised as is
+            if not hasattr(exc, "point"):
+                raise
+            n, failure = exc.point, exc
+    if failure is not None:
+        raise failure
+    return rows
 
 
 _RUNNERS = {
@@ -594,13 +616,14 @@ def main(argv=None):
             return EXIT_OK
         validate(args.config)
         return EXIT_OK
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # LinAlgError is a ValueError, so the numerical clause comes first
     except (NumericalFailure, FloatingPointError, np.linalg.LinAlgError,
             RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -24,8 +24,9 @@ from typing import Mapping, Tuple
 import numpy as np
 import scipy.linalg
 
-from .qcore import KB, eig_general, expm_dense, trace_vector, vectorize
-from .lindblad import build_liouvillian
+from .qcore import (KB, eig_general, expm_dense, raise_first_failure,
+                    trace_vector, vectorize)
+from .lindblad import build_liouvillian, in_chunks
 
 
 class CountingError(RuntimeError):
@@ -208,35 +209,59 @@ def cumulants(gen, cfg, name, max_order=4):
     nonsingular exactly when the kernel of L0 is one-dimensional; a
     spectral gap below ``_GAP_FLOOR`` (or a nonzero dominant eigenvalue)
     at chi = 0 raises :class:`CountingError`.
+
+    On a sweep axis (see ``lindblad``) the eigen-decomposition, the LU
+    factorisation and the solves are stacked, each point keeping its
+    bits, and each ``value`` has the batch shape.
     """
     if name not in {f.name for f in cfg.fields}:
         raise CountingError(f"unknown counting field {name!r}")
+    lams = in_chunks(_cumulants, gen, cfg.field(name).weights, max_order)
+    return [CumulantReport(m, lams[..., m - 1].real)
+            for m in range(1, max_order + 1)]
+
+
+def _cumulants(gen, weights, max_order):
+    """lambda_1..lambda_max_order of every point, shape (..., max_order)."""
     bare = build_liouvillian(gen)
     values, vectors = eig_general(bare)
-    gap = -values[1].real
-    if abs(values[0]) > 1e-8 or gap < _GAP_FLOOR:
-        raise CountingError(
+    nu, gap = values[..., 0], -values[..., 1].real
+    raise_first_failure([(
+        (np.abs(nu) > 1e-8) | (gap < _GAP_FLOOR),
+        lambda i: CountingError(
             f"dominant eigenvalue not unique/zero at chi = 0 "
-            f"(nu = {values[0]:.2e}, gap = {gap:.2e})")
+            f"(nu = {nu.flat[i]:.2e}, gap = {gap.flat[i]:.2e})"))])
     one = trace_vector(gen.dim)
-    rho_ss = vectors[:, 0] / (one @ vectors[:, 0])
-    lu = scipy.linalg.lu_factor(np.block([[bare, rho_ss[:, None]], [one, 0.0]]))
+    rho_ss = vectors[..., 0] / _trace(one, vectors[..., 0])[..., None]
+    n = bare.shape[-1]
+    bordered = np.zeros(bare.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    bordered[..., :n, :n] = bare
+    bordered[..., :n, n] = rho_ss
+    bordered[..., n, :n] = one
+    lu = scipy.linalg.lu_factor(bordered)
 
-    jumps = [(ch.rate, w, jump) for ch, w, jump
-             in zip(gen.channels, cfg.field(name).weights, gen._jump_superops)
-             if w != 0.0]
+    stack = gen._stack
+    jumps = [(stack.rates[..., c, None, None], w,
+              gen._jump_superops[..., c, :, :])
+             for c, w in enumerate(weights) if w != 0.0]
     pert = [None] + [sum((rate * w ** k * jump for rate, w, jump in jumps),
                          np.zeros_like(bare)) for k in range(1, max_order + 1)]
     rhos, lams = [rho_ss], [0.0]
     for m in range(1, max_order + 1):
-        kicks = sum(math.comb(m, k) * (pert[k] @ rhos[m - k])
+        kicks = sum(math.comb(m, k) * (pert[k] @ rhos[m - k][..., None])[..., 0]
                     for k in range(1, m + 1))
-        lams.append(complex(one @ kicks))
+        lams.append(_trace(one, kicks))
         if m < max_order:
-            rhs = sum(math.comb(m, k) * lams[k] * rhos[m - k]
+            rhs = sum(math.comb(m, k) * lams[k][..., None] * rhos[m - k]
                       for k in range(1, m + 1)) - kicks
-            rhos.append(scipy.linalg.lu_solve(lu, np.append(rhs, 0.0))[:-1])
-    return [CumulantReport(m, lams[m].real) for m in range(1, max_order + 1)]
+            rhs = np.concatenate([rhs, np.zeros(rhs.shape[:-1] + (1,))], -1)
+            rhos.append(scipy.linalg.lu_solve(lu, rhs[..., None])[..., :-1, 0])
+    return np.stack(lams[1:], axis=-1)
+
+
+def _trace(one, vecs):
+    """<<1|v>> of each vector of a stack, with the bits of ``one @ v``."""
+    return (one @ vecs[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -259,7 +284,8 @@ def tur_audit(mean_current, variance_rate, sigma_dot):
     ratio = variance_rate / mean_current ** 2
     if sigma_dot <= 0.0:
         return TURAudit(ratio, math.inf, None)
-    return TURAudit(ratio, 2.0 * KB / sigma_dot, ratio >= 2.0 * KB / sigma_dot)
+    return TURAudit(ratio, 2.0 * KB / sigma_dot,
+                    bool(ratio >= 2.0 * KB / sigma_dot))
 
 
 def tur_engine_form(power_out, eta, eta_carnot, t_cold, power_variance_rate):

@@ -13,23 +13,40 @@ whole stack with a few batched numpy calls; sums over channels are still
 taken one channel at a time, in channel order, from the same start as a
 per-channel loop, so every result keeps its bits.
 
+Sweep axis: a generator may carry leading sweep axes ``...``, one point
+per entry, with a ``(..., d, d)`` Hamiltonian, rates and energy quanta of
+shape ``...`` and operators ``(d, d)`` (shared) or ``(..., d, d)``; its
+channel stack then holds ``(..., k)`` rates and ``(k, d, d)`` or
+``(..., k, d, d)`` operators, and its ledger per-point arrays
+(``models.common.stack_sweep`` builds the pair from per-point pairs).
+Everything here but :func:`propagate` and
+:func:`local_detailed_balance_check` acts on every point at once and puts
+the batch shape in front of its results; an ordinary generator is the
+case with no sweep axes, run by the same code. Stacked numpy and
+LAPACK calls round as one call per matrix does, so each point keeps its
+bits. When points fail, the first failing one in sweep order (row-major)
+raises its own error, with its index as the exception's ``point``.
+
 The superoperator of a generator is assembled once, on first use, and
 cached on the generator as a read-only array; :func:`build_liouvillian`,
 :func:`propagate`, :func:`steady_state` and the counting functions in
 ``fcs`` all share it. It lives as long as the generator: d^4 complex
-entries, 16 MB at d = 32 and 268 MB at d = 64. Assembly adds one
-channel's d^4 terms at a time, so it holds a fixed number of d^4
+entries per point, 16 MB at d = 32 and 268 MB at d = 64. Assembly adds
+one channel's d^4 terms at a time, so it holds a fixed number of d^4
 temporaries whatever the channel count. The jump superoperators
-L-bar (x) L that ``fcs`` tilts are one ``(k, d^2, d^2)`` array, cached the
-same way on first use (d^4 entries per channel). A generator's arrays
+L-bar (x) L that ``fcs`` tilts are one ``(..., k, d^2, d^2)`` array, cached
+the same way on first use (d^4 entries per channel). A generator's arrays
 must therefore not be modified in place once it has been used.
+:func:`steady_state` and ``fcs.cumulants`` run a long sweep in chunks of
+at most :data:`BATCH_BYTES` of such arrays, each chunk a generator with
+caches of its own.
 
 Sign convention: heat and power are positive when they flow *into* the
 reservoir they are tagged with.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Tuple
 
@@ -37,12 +54,19 @@ import numpy as np
 
 from .qcore import (KB, TOL_HERM, commutator_superop, dagger, dissipate,
                     dissipator_apply, dissipator_superop, expm_dense,
-                    hermitize, is_hermitian, kron, unvectorize, vectorize)
+                    hermitize, is_hermitian, kron, raise_first_failure,
+                    unvectorize, vectorize)
 from .thermo import ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient
 # states are clipped here instead of producing -inf.
 ENTROPY_EIG_FLOOR = 1e-30
+
+# Byte budget of one chunk of a sweep in steady_state and fcs.cumulants,
+# counted as k + 8 complex d^2 x d^2 arrays per point (the Liouvillian, the
+# jump superoperators, the solver's copies and factors): about 10^5 points
+# at d = 2, and one point (a chunk's minimum) at d = 32.
+BATCH_BYTES = 2 ** 28
 
 
 class MultistabilityError(RuntimeError):
@@ -60,7 +84,8 @@ class JumpChannel:
     ``energy_quantum`` (omega) and ``particle_quantum`` (n) are the
     energy and particle number removed from the system per jump; against
     a ledger they must satisfy the ladder identities [L, H_TD] = omega L
-    and [L, N_S] = n L.
+    and [L, N_S] = n L. On a sweep axis, rate, omega and the operator may
+    carry the generator's batch shape; reservoir and n are shared.
     """
 
     operator: np.ndarray
@@ -70,29 +95,40 @@ class JumpChannel:
     particle_quantum: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"GKLS rate must be finite and >= 0, "
-                             f"got {self.rate}")
+        array = isinstance(self.rate, np.ndarray)
+        for rate in self.rate.ravel() if array else (self.rate,):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"GKLS rate must be finite and >= 0, "
+                                 f"got {rate}")
         op = np.asarray(self.operator, dtype=complex)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
             raise ValueError("jump operator must be square")
         object.__setattr__(self, "operator", op)
 
 
 class ChannelStack(NamedTuple):
-    """The channels of a generator along a leading axis k, in channel order."""
+    """The channels of a generator along an axis k, in channel order."""
 
-    ops: np.ndarray              # (k, d, d) jump operators L_k
-    daggers: np.ndarray          # (k, d, d) L_k†
-    ld_l: np.ndarray             # (k, d, d) L_k† L_k
-    rates: np.ndarray            # (k,) gamma_k
-    energy_quanta: np.ndarray    # (k,) omega_k
+    ops: np.ndarray              # (k, d, d) or (..., k, d, d) jump operators L_k
+    daggers: np.ndarray          # L_k†, shaped as ops
+    ld_l: np.ndarray             # L_k† L_k, shaped as ops
+    rates: np.ndarray            # (..., k) gamma_k
+    energy_quanta: np.ndarray    # (..., k) omega_k
     particle_quanta: np.ndarray  # (k,) n_k
 
     def dissipate(self, rho):
-        """D[L_k] rho for every channel, shape (k, d, d)."""
-        return dissipate(self.ops, self.daggers, self.ld_l,
-                         np.asarray(rho, dtype=complex))
+        """D[L_k] rho for every channel, shape (..., k, d, d)."""
+        rho = np.asarray(rho, dtype=complex)[..., None, :, :]
+        return dissipate(self.ops, self.daggers, self.ld_l, rho)
+
+
+def _channel_axis(values, dtype, core=()):
+    """Per-channel values stacked on an axis just before the ``core`` axes."""
+    if not values:
+        return np.zeros((0,) + core, dtype=dtype)
+    stacked = np.array(np.broadcast_arrays(*values), dtype=dtype)
+    return np.ascontiguousarray(
+        np.moveaxis(stacked, 0, stacked.ndim - 1 - len(core)))
 
 
 @dataclass(frozen=True)
@@ -109,12 +145,17 @@ class GKLSGenerator:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", tuple(self.channels))
         for ch in self.channels:
-            if ch.operator.shape != h.shape:
+            if ch.operator.shape[-2:] != h.shape[-2:]:
                 raise ValueError("channel dimension does not match Hamiltonian")
 
     @property
     def dim(self):
-        return self.hamiltonian.shape[0]
+        return self.hamiltonian.shape[-1]
+
+    @property
+    def batch_shape(self):
+        """The sweep axes; () for an ordinary generator."""
+        return self.hamiltonian.shape[:-2]
 
     def reservoirs(self):
         seen = []
@@ -123,18 +164,34 @@ class GKLSGenerator:
                 seen.append(ch.reservoir)
         return seen
 
+    def _rows(self, rows):
+        """The points in ``rows``, a slice of the first sweep axis."""
+        def cut(value, core=0):
+            return value[rows] if np.ndim(value) > core else value
+        return GKLSGenerator(self.hamiltonian[rows], tuple(
+            replace(ch, operator=cut(ch.operator, 2), rate=cut(ch.rate),
+                    energy_quantum=cut(ch.energy_quantum))
+            for ch in self.channels))
+
     @cached_property
     def _stack(self):
-        """Read-only :class:`ChannelStack` of the channels, formed on first use."""
+        """Read-only :class:`ChannelStack` of the channels, formed on first use.
+
+        Raises ValueError when a channel's sweep axes are neither absent
+        nor those of the Hamiltonian.
+        """
         d = self.dim
-        ops = np.array([ch.operator for ch in self.channels],
-                       dtype=complex).reshape(-1, d, d)
+        chs = self.channels
+        ops = _channel_axis([ch.operator for ch in chs], complex, (d, d))
         daggers = dagger(ops)
         stack = ChannelStack(
             ops, daggers, daggers @ ops,
-            np.array([ch.rate for ch in self.channels], dtype=float),
-            np.array([ch.energy_quantum for ch in self.channels], dtype=float),
-            np.array([ch.particle_quantum for ch in self.channels], dtype=int))
+            _channel_axis([ch.rate for ch in chs], float),
+            _channel_axis([ch.energy_quantum for ch in chs], float),
+            _channel_axis([ch.particle_quantum for ch in chs], int))
+        if not {ops.shape[:-3], stack.rates.shape[:-1],
+                stack.energy_quanta.shape[:-1]} <= {(), self.batch_shape}:
+            raise ValueError("channel shape does not match Hamiltonian")
         for arr in stack:
             arr.flags.writeable = False
         return stack
@@ -146,17 +203,19 @@ class GKLSGenerator:
         One channel's d^4 terms at a time: stacking them over channels
         would hold k d^4 temporaries.
         """
+        stack = self._stack
         d2 = self.dim ** 2
-        dissipative = np.zeros((d2, d2), dtype=complex)
-        for rate, op in zip(self._stack.rates, self._stack.ops):
-            dissipative += rate * dissipator_superop(op)
+        dissipative = np.zeros(self.batch_shape + (d2, d2), dtype=complex)
+        for k in range(len(self.channels)):
+            dissipative += (stack.rates[..., k, None, None]
+                            * dissipator_superop(stack.ops[..., k, :, :]))
         liou = commutator_superop(self.hamiltonian) + dissipative
         liou.flags.writeable = False
         return liou
 
     @cached_property
     def _jump_superops(self):
-        """Read-only L-bar (x) L of every channel, shape (k, d^2, d^2)."""
+        """Read-only L-bar (x) L of every channel, shape (..., k, d^2, d^2)."""
         ops = self._stack.ops
         jumps = kron(ops.conj(), ops)
         jumps.flags.writeable = False
@@ -175,44 +234,85 @@ class ThermoLedger:
         h = np.asarray(self.h_td, dtype=complex)
         n = np.asarray(self.n_s, dtype=complex)
         comm = h @ n - n @ h
-        if np.max(np.abs(comm)) > 1e-9:
+        if np.abs(comm).max() > 1e-9:
             raise LedgerError("[H_TD, N_S] != 0 within 1e-9")
         object.__setattr__(self, "h_td", h)
         object.__setattr__(self, "n_s", n)
         object.__setattr__(self, "reservoirs", dict(self.reservoirs))
 
 
+def in_chunks(solve, gen, *args):
+    """``solve(gen, *args)``, run on chunks of the first sweep axis that fit
+    :data:`BATCH_BYTES` and joined along that axis.
+
+    A failing point's ``point`` index counts from the start of the sweep.
+    """
+    batch = gen.batch_shape
+    per_row = math.prod(batch[1:])
+    rows = max(1, BATCH_BYTES // (16 * gen.dim ** 4 * (len(gen.channels) + 8)
+                                  * per_row))
+    if not batch or batch[0] <= rows:
+        return solve(gen, *args)
+    parts = []
+    for start in range(0, batch[0], rows):
+        try:
+            parts.append(solve(gen._rows(slice(start, start + rows)), *args))
+        except Exception as exc:  # re-raised with its index in the sweep
+            if hasattr(exc, "point"):
+                exc.point += start * per_row
+            raise
+    return np.concatenate(parts)
+
+
 def validate_ledger(gen, ledger, tol=1e-9):
     """Check the ladder identities of every channel against the ledger.
 
     [L, H_TD] = omega L and [L, N_S] = n L within ``tol * max(max|L|, 1)``,
-    each channel against its own scale; every channel must be tagged with
-    a reservoir present in the ledger. The residuals of all channels are
-    formed at once; the first failing channel, in channel order, raises,
-    and a missing reservoir is reported before that channel's residuals.
+    each channel against its own scale; the ledger must act on the
+    generator's space and have a reservoir entry for every channel's tag.
+    The residuals of all channels and points are formed at once; the
+    first failing point raises, at its first failing channel in channel
+    order, and a missing reservoir is reported before that channel's
+    residuals.
     """
+    if ledger.h_td.shape[-1] != gen.dim:
+        raise LedgerError(f"ledger dimension {ledger.h_td.shape[-1]} does "
+                          f"not match generator dimension {gen.dim}")
+    if not gen.channels:
+        return
     stack = gen._stack
     ops = stack.ops
-    err_h = _max_abs(ops @ ledger.h_td - ledger.h_td @ ops
-                     - stack.energy_quanta[:, None, None] * ops)
-    err_n = _max_abs(ops @ ledger.n_s - ledger.n_s @ ops
-                     - stack.particle_quanta[:, None, None] * ops)
+    h_td = ledger.h_td[..., None, :, :]
+    n_s = ledger.n_s[..., None, :, :]
+    err_h = _max_abs(ops @ h_td - h_td @ ops
+                     - stack.energy_quanta[..., None, None] * ops)
+    err_n = _max_abs(ops @ n_s - n_s @ ops
+                     - stack.particle_quanta[..., None, None] * ops)
     bound = tol * np.maximum(_max_abs(ops), 1.0)
-    violated = (err_h > bound) | (err_n > bound)
-    for k, ch in enumerate(gen.channels):
-        if ch.reservoir not in ledger.reservoirs:
-            raise LedgerError(f"channel tagged {ch.reservoir!r} has no "
-                              "reservoir entry in the ledger")
-        if violated[k]:
-            raise LedgerError(
-                f"channel ({ch.reservoir}, omega={ch.energy_quantum}) violates "
-                f"the ladder identities (errors {err_h[k]:.2e}, "
-                f"{err_n[k]:.2e})")
+    missing = np.array([ch.reservoir not in ledger.reservoirs
+                        for ch in gen.channels])
+    err_h, err_n, bound, omega = (
+        a.reshape(-1, len(gen.channels)) for a in np.broadcast_arrays(
+            err_h, err_n, bound, stack.energy_quanta))
+    failed = missing | (err_h > bound) | (err_n > bound)
+
+    def error(point):
+        k = int(np.argmax(failed[point]))
+        ch = gen.channels[k]
+        if missing[k]:
+            return LedgerError(f"channel tagged {ch.reservoir!r} has no "
+                               "reservoir entry in the ledger")
+        return LedgerError(
+            f"channel ({ch.reservoir}, omega={omega[point, k]}) violates the "
+            f"ladder identities (errors {err_h[point, k]:.2e}, "
+            f"{err_n[point, k]:.2e})")
+
+    raise_first_failure([(failed.any(axis=-1), error)])
 
 
 def _max_abs(stack):
-    """max |entry| of each matrix in a (k, d, d) stack."""
-    return np.abs(stack).max(axis=(1, 2))
+    """max |entry| of each matrix in a (..., d, d) stack."""
+    return np.abs(stack).max(axis=(-2, -1))
 
 
 def build_liouvillian(gen):
@@ -229,8 +329,9 @@ def generator_apply(gen, rho):
     h = gen.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     stack = gen._stack
-    for term in stack.rates[:, None, None] * stack.dissipate(rho):
-        out = out + term
+    terms = stack.rates[..., None, None] * stack.dissipate(rho)
+    for k in range(terms.shape[-3]):
+        out = out + terms[..., k, :, :]
     return out
 
 
@@ -256,29 +357,38 @@ def steady_state(gen, kernel_tol=1e-10):
     The kernel dimension is detected via singular values below
     ``kernel_tol * ||L||``; a degenerate kernel raises
     :class:`MultistabilityError`. The result is trace-normalized and
-    hermitized.
+    hermitized. Over a sweep axis one stacked SVD and one stacked
+    ``eigvalsh`` serve every point of a chunk, and each point is checked
+    on its own; the first failing point raises.
     """
+    return in_chunks(_steady_state, gen, kernel_tol)
+
+
+def _steady_state(gen, kernel_tol):
     liou = build_liouvillian(gen)
     _, svals, vh = np.linalg.svd(liou)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    n_null = int(np.sum(svals <= kernel_tol * scale))
-    if n_null == 0:
-        raise MultistabilityError("no Liouvillian null vector found within "
-                                  f"tolerance {kernel_tol:.1e}*||L||")
-    if n_null > 1:
-        raise MultistabilityError(
-            f"Liouvillian kernel is {n_null}-dimensional; steady state is not "
-            "unique (multistability)")
-    rho = hermitize(unvectorize(vh[-1].conj()))
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-12:
-        raise MultistabilityError("null vector is traceless; no normalizable "
-                                  "steady state")
-    rho = rho / tr
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-8:
-        raise MultistabilityError(f"steady-state candidate not PSD "
-                                  f"(min eigenvalue {evals.min():.2e})")
+    scale = np.where(svals[..., 0] > 0, svals[..., 0], 1.0)
+    n_null = np.sum(svals <= kernel_tol * scale[..., None], axis=-1)
+    rho = hermitize(unvectorize(vh[..., -1, :].conj()))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    traceless = np.abs(tr) < 1e-12
+    # a traceless point has failed; dividing it by 1 keeps it finite, so
+    # that eigvalsh still serves the other points
+    rho = rho / np.where(traceless, 1.0, tr)[..., None, None]
+    min_eval = np.linalg.eigvalsh(rho).min(axis=-1)
+    raise_first_failure([
+        (n_null == 0, lambda i: MultistabilityError(
+            "no Liouvillian null vector found within "
+            f"tolerance {kernel_tol:.1e}*||L||")),
+        (n_null > 1, lambda i: MultistabilityError(
+            f"Liouvillian kernel is {n_null.flat[i]}-dimensional; steady "
+            "state is not unique (multistability)")),
+        (traceless, lambda i: MultistabilityError(
+            "null vector is traceless; no normalizable steady state")),
+        (min_eval < -1e-8, lambda i: MultistabilityError(
+            "steady-state candidate not PSD "
+            f"(min eigenvalue {min_eval.flat[i]:.2e})")),
+    ])
     return rho
 
 
@@ -289,24 +399,25 @@ def _reservoir_currents(gen, ledger, rho):
     traces; each reservoir's sums run over its channels in channel order.
     """
     stack = gen._stack
-    mus = np.array([ledger.reservoirs[ch.reservoir].chemical_potential
-                    for ch in gen.channels], dtype=float)
+    mus = _channel_axis([ledger.reservoirs[ch.reservoir].chemical_potential
+                         for ch in gen.channels], float)
     d_rho = stack.dissipate(rho)
-    obs = ledger.h_td - mus[:, None, None] * ledger.n_s
-    heat_terms = stack.rates * _traces(obs, d_rho)
-    work_terms = (mus * stack.rates) * _traces(ledger.n_s, d_rho)
+    h_td = ledger.h_td[..., None, :, :]
+    n_s = ledger.n_s[..., None, :, :]
+    heat_terms = stack.rates * _traces(h_td - mus[..., None, None] * n_s,
+                                       d_rho)
+    work_terms = (mus * stack.rates) * _traces(n_s, d_rho)
     totals = {alpha: [0.0, 0.0] for alpha in gen.reservoirs()}
-    for ch, heat, work in zip(gen.channels, heat_terms, work_terms):
+    for k, ch in enumerate(gen.channels):
         total = totals[ch.reservoir]
-        total[0] -= heat
-        total[1] -= work
-    return {alpha: (float(heat), float(work))
-            for alpha, (heat, work) in totals.items()}
+        total[0] = total[0] - heat_terms[..., k]
+        total[1] = total[1] - work_terms[..., k]
+    return {alpha: tuple(total) for alpha, total in totals.items()}
 
 
 def _traces(a, b):
     """Re Tr(A_k B_k) for every k; a single A broadcasts over the stack."""
-    return np.trace(a @ b, axis1=1, axis2=2).real
+    return np.trace(a @ b, axis1=-2, axis2=-1).real
 
 
 def _checked_reservoir_currents(gen, ledger, rho, reservoir):
@@ -345,8 +456,8 @@ def entropy_rate(gen, rho):
     rho_dot = generator_apply(gen, rho)
     p, v = np.linalg.eigh(rho)
     p = np.clip(p, ENTROPY_EIG_FLOOR, None)
-    diag = np.real(np.einsum("ij,jk,ki->i", dagger(v), rho_dot, v))
-    return float(-np.sum(diag * np.log(p)))
+    diag = np.real(np.einsum("...ij,...jk,...ki->...i", dagger(v), rho_dot, v))
+    return -np.sum(diag * np.log(p), axis=-1)
 
 
 def entropy_production_rate(gen, ledger, rho):
@@ -359,8 +470,8 @@ def entropy_production_rate(gen, ledger, rho):
     sdot = KB * entropy_rate(gen, rho)
     for alpha, (heat, _) in _reservoir_currents(gen, ledger, rho).items():
         # J/T with T stored as k_B T: physical J/T = k_B J / (k_B T)
-        sdot += KB * heat / ledger.reservoirs[alpha].temperature
-    return float(sdot)
+        sdot = sdot + KB * heat / ledger.reservoirs[alpha].temperature
+    return sdot
 
 
 def local_detailed_balance_check(channel_in, channel_out, res, rel_tol=1e-8):

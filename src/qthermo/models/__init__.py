@@ -7,11 +7,12 @@ from .single_dot import (SingleDotParams, engine_cop, engine_efficiency,
 from .double_dot import (DoubleDotParams, double_dot_concurrence,
                          double_dot_correlators_ss, double_dot_generator,
                          double_dot_state_closed_form, double_dot_state_ss,
+                         double_dot_sweep_concurrence,
                          entanglement_heat_threshold)
 from .fridge import (FridgeParams, fridge_coherent_transient, fridge_generator,
                      fridge_observables, fridge_perturbative_I,
-                     fridge_switchoff_protocol)
-from .common import ValidityWarning
+                     fridge_sweep_observables, fridge_switchoff_protocol)
+from .common import ValidityWarning, stack_sweep, sweep_map
 
 __all__ = [
     "SingleDotParams", "single_dot_generator", "single_dot_occupation",
@@ -19,9 +20,11 @@ __all__ = [
     "stopping_voltage",
     "DoubleDotParams", "double_dot_generator", "double_dot_correlators_ss",
     "double_dot_state_ss", "double_dot_state_closed_form",
-    "double_dot_concurrence", "entanglement_heat_threshold",
+    "double_dot_concurrence", "double_dot_sweep_concurrence",
+    "entanglement_heat_threshold",
     "FridgeParams", "fridge_generator", "fridge_observables",
+    "fridge_sweep_observables",
     "fridge_perturbative_I", "fridge_coherent_transient",
     "fridge_switchoff_protocol",
-    "ValidityWarning",
+    "ValidityWarning", "stack_sweep", "sweep_map",
 ]

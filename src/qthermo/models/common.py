@@ -1,8 +1,11 @@
-"""Shared pieces for the model builders."""
+"""Shared pieces for the model builders, and the sweep axis over them."""
 
 import warnings
 
 import numpy as np
+
+from ..lindblad import GKLSGenerator, JumpChannel, ThermoLedger
+from ..thermo import ReservoirSpec
 
 # Single-fermion-mode operators in the (|0>, |1>) basis.
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -33,3 +36,56 @@ def warn_margin(condition_text, value, scale, margin):
             f"{condition_text}: {value:.3g} exceeds {margin} * {scale:.3g}; "
             "the master equation may not be a faithful description",
             ValidityWarning, stacklevel=4)
+
+
+def stack_sweep(machines):
+    """One (generator, ledger) pair with a leading sweep axis of n points.
+
+    ``machines`` are the n per-point (generator, ledger) pairs of one
+    model builder, which must agree in the channels' reservoirs and
+    particle quanta and in the reservoir tags and statistics. Everything
+    else is stacked along a new first axis; a channel operator that is
+    bitwise the same at every point stays one ``(d, d)`` matrix.
+    """
+    gens, ledgers = zip(*machines)
+
+    def structure(gen, ledger):
+        return ([(c.reservoir, c.particle_quantum) for c in gen.channels],
+                {t: r.statistics for t, r in ledger.reservoirs.items()})
+
+    first = structure(gens[0], ledgers[0])
+    if any(structure(*m) != first for m in zip(gens, ledgers)):
+        raise ValueError("sweep points differ in their channels or reservoirs")
+    channels = []
+    for column in zip(*(g.channels for g in gens)):
+        ch = column[0]
+        op, bits = ch.operator, ch.operator.tobytes()
+        if any(c.operator is not op and c.operator.tobytes() != bits
+               for c in column):
+            op = np.stack([c.operator for c in column])
+        channels.append(JumpChannel(
+            op, np.array([c.rate for c in column]), ch.reservoir,
+            np.array([c.energy_quantum for c in column], dtype=float),
+            ch.particle_quantum))
+    reservoirs = {tag: ReservoirSpec(
+        *(np.array([getattr(l.reservoirs[tag], name) for l in ledgers])
+          for name in ("temperature", "chemical_potential")),
+        spec.statistics, np.array([l.reservoirs[tag].coupling for l in ledgers]))
+        for tag, spec in ledgers[0].reservoirs.items()}
+    return (GKLSGenerator(np.stack([g.hamiltonian for g in gens]),
+                          tuple(channels)),
+            ThermoLedger(np.stack([l.h_td for l in ledgers]),
+                         np.stack([l.n_s for l in ledgers]), reservoirs))
+
+
+def sweep_map(fn, points):
+    """``[fn(p) for p in points]``; an error raised at point i carries
+    ``point = i``, as the errors of the stacked ``lindblad`` functions do."""
+    out = []
+    for i, p in enumerate(points):
+        try:
+            out.append(fn(p))
+        except Exception as exc:  # tagged with its point and re-raised
+            exc.point = i
+            raise
+    return out

@@ -128,13 +128,8 @@ def _local_inputs(params):
             res_l.coupling, res_r.coupling)
 
 
-def double_dot_correlators_ss(params):
-    """Steady one-particle correlators (<n_L>, <n_R>, <d_L†d_R>, <d_R†d_L>).
-
-    Solves the closed linear system v' = A v + b of the local master
-    equation at v' = 0; fails only if A is singular, which cannot happen
-    for positive couplings.
-    """
+def _correlator_system(params):
+    """(A, b) of the correlator equations v' = A v + b of the local mode."""
     nf_l, nf_r, k_l, k_r = _local_inputs(params)
     g = params.g
     k_sum = 0.5 * (k_l + k_r)
@@ -145,7 +140,36 @@ def double_dot_correlators_ss(params):
         [1j * g, -1j * g, 0.0, -k_sum],
     ], dtype=complex)
     b = np.array([k_l * nf_l, k_r * nf_r, 0.0, 0.0], dtype=complex)
-    return np.linalg.solve(a, -b)
+    return a, b
+
+
+def _solve_correlators(a, b):
+    """v = A^{-1}(-b) for one system or a stack ``(..., 4, 4)``, ``(..., 4)``."""
+    return np.linalg.solve(a, -b[..., None])[..., 0]
+
+
+def _state_from_correlators(v):
+    """(..., 4, 4) Gaussian states of correlator vectors (..., 4)."""
+    n_l, n_r = v[..., 0].real, v[..., 1].real
+    p_d = n_l * n_r - (v[..., 2] * v[..., 3]).real
+    rho = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 1.0 - n_l - n_r + p_d
+    rho[..., 1, 1] = n_l - p_d
+    rho[..., 2, 2] = n_r - p_d
+    rho[..., 3, 3] = p_d
+    rho[..., 1, 2] = v[..., 3]          # <10|rho|01> = <d_R† d_L>
+    rho[..., 2, 1] = v[..., 2]
+    return rho
+
+
+def double_dot_correlators_ss(params):
+    """Steady one-particle correlators (<n_L>, <n_R>, <d_L†d_R>, <d_R†d_L>).
+
+    Solves the closed linear system v' = A v + b of the local master
+    equation at v' = 0; fails only if A is singular, which cannot happen
+    for positive couplings.
+    """
+    return _solve_correlators(*_correlator_system(params))
 
 
 def double_dot_state_ss(params):
@@ -154,17 +178,7 @@ def double_dot_state_ss(params):
     The double occupancy is <n_L><n_R> - <d_L†d_R><d_R†d_L> (Gaussian
     state); the single coherence sits on |10><01| and equals <d_R†d_L>.
     """
-    v = double_dot_correlators_ss(params)
-    n_l, n_r = v[0].real, v[1].real
-    p_d = n_l * n_r - (v[2] * v[3]).real
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - n_l - n_r + p_d
-    rho[1, 1] = n_l - p_d
-    rho[2, 2] = n_r - p_d
-    rho[3, 3] = p_d
-    rho[1, 2] = v[3]          # <10|rho|01> = <d_R† d_L>
-    rho[2, 1] = v[2]
-    return rho
+    return _state_from_correlators(double_dot_correlators_ss(params))
 
 
 def double_dot_state_closed_form(params):
@@ -196,6 +210,14 @@ def double_dot_state_closed_form(params):
 def double_dot_concurrence(params):
     """Concurrence of the local-mode steady state."""
     return concurrence(double_dot_state_ss(params))
+
+
+def double_dot_sweep_concurrence(sweep):
+    """Concurrence at each point of a sequence of local-mode params, as an
+    array, from one stacked correlator solve; each point keeps the bits of
+    :func:`double_dot_concurrence`."""
+    a, b = (np.stack(x) for x in zip(*map(_correlator_system, sweep)))
+    return concurrence(_state_from_correlators(_solve_correlators(a, b)))
 
 
 def heat_current_closed_form(params):

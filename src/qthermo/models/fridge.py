@@ -22,7 +22,7 @@ from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
 from ..qcore import dagger, expm_dense, kron, vectorize
 from ..thermo import (ReservoirSpec, bose_einstein, effective_temperature,
                       fermi_dirac, gibbs_state)
-from .common import IDENT2, LOWER
+from .common import IDENT2, LOWER, stack_sweep, sweep_map
 
 # Lowering operators in the |c h r> product basis (c most significant).
 SIGMA_C = kron(LOWER, kron(IDENT2, IDENT2))
@@ -124,8 +124,13 @@ def product_gibbs_state(params):
 
 def exchange_amplitude(params, rho):
     """I = 2g Im<sigma_r† sigma_c sigma_h> in the given state."""
+    return float(_exchange_amplitude(params.g, rho))
+
+
+def _exchange_amplitude(g, rho):
+    """2g Im Tr(sigma_r† sigma_c sigma_h rho) of each state of a stack."""
     op = dagger(SIGMA_R) @ SIGMA_C @ SIGMA_H
-    return float(2.0 * params.g * np.trace(op @ rho).imag)
+    return 2.0 * g * np.trace(op @ rho, axis1=-2, axis2=-1).imag
 
 
 def cooling_window_boundary(params):
@@ -146,21 +151,39 @@ def fridge_observables(params, consistency_tol=1e-9):
     disagreement beyond ``consistency_tol`` (scaled) raises. theta is the
     effective temperature of the cold qubit.
     """
-    gen, ledger = fridge_generator(params)
+    return fridge_sweep_observables([params], consistency_tol)[0]
+
+
+def fridge_sweep_observables(sweep, consistency_tol=1e-9):
+    """:func:`fridge_observables` at each point of a sequence of params.
+
+    One stacked steady state and one stacked current evaluation serve all
+    points (see :func:`~qthermo.models.common.stack_sweep`); each point
+    keeps its bits, and the first failing point raises.
+    """
+    gen, ledger = stack_sweep(sweep_map(fridge_generator, sweep))
     rho = steady_state(gen)
-    amp = exchange_amplitude(params, rho)
-    currents = {tag: j for tag, (j, _) in all_currents(gen, ledger, rho).items()}
-    structural = {"c": -params.eps_c * amp, "h": -params.eps_h * amp,
-                  "r": params.eps_r * amp}
-    scale = max(abs(amp) * params.eps_r, 1.0)
-    for tag in ("c", "h", "r"):
-        if abs(currents[tag] - structural[tag]) > consistency_tol * scale:
-            raise RuntimeError(
-                f"bookkeeping J_{tag} = {currents[tag]} disagrees with "
-                f"structural value {structural[tag]}")
-    occ = float(np.trace(_NUM["c"] @ rho).real)
-    theta = effective_temperature(occ, params.eps_c) if occ < 0.5 else math.inf
-    return (amp, currents["c"], currents["h"], currents["r"], theta, amp > 0.0)
+    amps = _exchange_amplitude(np.array([p.g for p in sweep]), rho).tolist()
+    currents = {tag: j.tolist()
+                for tag, (j, _) in all_currents(gen, ledger, rho).items()}
+    occs = np.trace(_NUM["c"] @ rho, axis1=-2, axis2=-1).real.tolist()
+
+    def point(i):
+        params, amp = sweep[i], amps[i]
+        structural = {"c": -params.eps_c * amp, "h": -params.eps_h * amp,
+                      "r": params.eps_r * amp}
+        scale = max(abs(amp) * params.eps_r, 1.0)
+        for tag in ("c", "h", "r"):
+            if abs(currents[tag][i] - structural[tag]) > consistency_tol * scale:
+                raise RuntimeError(
+                    f"bookkeeping J_{tag} = {currents[tag][i]} disagrees with "
+                    f"structural value {structural[tag]}")
+        theta = (effective_temperature(occs[i], params.eps_c)
+                 if occs[i] < 0.5 else math.inf)
+        return (amp, currents["c"][i], currents["h"][i], currents["r"][i],
+                theta, amp > 0.0)
+
+    return sweep_map(point, range(len(sweep)))
 
 
 def occupation_imbalance(params):

@@ -3,8 +3,9 @@
 Everything here works on plain numpy arrays: operators are ``(d, d)``
 complex matrices, superoperators are ``(d*d, d*d)`` matrices acting on
 column-stacked operators. :func:`dagger`, :func:`kron`, :func:`spre`,
-:func:`spost` and :func:`dissipator_superop` also take stacks ``(..., d, d)``
-and act on each trailing matrix, with the same bits as one call per matrix.
+:func:`spost`, :func:`dissipator_superop`, :func:`unvectorize` and
+:func:`eig_general` also take stacks ``(..., d, d)`` and act on each
+trailing matrix, with the same bits as one call per matrix.
 Intended for small Hilbert spaces (d <= ~64); no sparse or tensor-network
 representations.
 
@@ -37,6 +38,27 @@ class EigenvalueError(RuntimeError):
     """Eigen-decomposition failed or did not meet its residual contract."""
 
 
+def raise_first_failure(checks):
+    """Raise the error of the first failing point of a stack, if any.
+
+    ``checks`` are ``(failed, error)`` pairs in the order one point is
+    checked: ``failed`` is a boolean array over the points (any leading
+    shape, flattened row-major) and ``error(i)`` builds the exception of
+    point i. The first point in that order with a failed check raises the
+    error of its first failed check, with its index stored as the
+    exception's ``point`` attribute.
+    """
+    flags = [np.ravel(failed) for failed, _ in checks]
+    any_failed = np.logical_or.reduce(flags)
+    if any_failed.any():
+        i = int(np.argmax(any_failed))
+        for failed, (_, error) in zip(flags, checks):
+            if failed[i]:
+                exc = error(i)
+                exc.point = i
+                raise exc
+
+
 def dagger(m):
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.asarray(m).swapaxes(-1, -2).conj()
@@ -45,7 +67,7 @@ def dagger(m):
 def is_hermitian(m, tol=TOL_HERM):
     """max|M - M†| <= tol."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m)))) <= tol
+    return float(np.abs(m - dagger(m)).max()) <= tol
 
 
 def hermitize(m):
@@ -136,12 +158,13 @@ def vectorize(m):
 
 
 def unvectorize(v):
-    """Inverse of :func:`vectorize`; rejects lengths that are not squares."""
+    """Inverse of :func:`vectorize`, on the last axis; rejects lengths that
+    are not squares."""
     v = np.asarray(v)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
+        raise ValueError(f"vector length {v.shape[-1]} is not a perfect square")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,24 +221,30 @@ def eig_general(m, tol_residual=TOL_EIG_RESIDUAL):
     """Eigenvalues and right eigenvectors of a general complex matrix.
 
     Returns ``(values, vectors)`` sorted by descending real part of the
-    eigenvalue; ``vectors[:, j]`` belongs to ``values[j]``. The residual
-    ``max_j |M v_j - v_j nu_j|`` is checked against
-    ``tol_residual * ||M||`` and an :class:`EigenvalueError` is raised if
-    the solver fails to converge or the residual contract is violated.
+    eigenvalue; ``vectors[..., :, j]`` belongs to ``values[..., j]``. The
+    residual ``max_j |M v_j - v_j nu_j|`` of each matrix is checked against
+    ``tol_residual`` times its largest column 2-norm, a lower bound on
+    ``||M||_2``, so the check is at least as strict as one against the
+    spectral norm. An :class:`EigenvalueError` is raised if the solver
+    fails to converge or, for the first matrix of a stack that violates
+    it, if the residual contract is violated.
     """
     m = np.asarray(m, dtype=complex)
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise EigenvalueError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-values.real, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    norm = np.linalg.norm(m, 2)
-    residual = np.max(np.abs(m @ vectors - vectors * values[None, :]))
-    if norm > 0 and residual > tol_residual * norm:
-        raise EigenvalueError(
-            f"eigenpair residual {residual:.3e} exceeds {tol_residual:.1e}*||M||")
+    order = np.argsort(-values.real, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    norm = np.linalg.norm(m, axis=-2).max(axis=-1)
+    residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(
+        axis=(-2, -1))
+    raise_first_failure([
+        ((norm > 0) & (residual > tol_residual * norm),
+         lambda i: EigenvalueError(
+             f"eigenpair residual {residual.flat[i]:.3e} exceeds "
+             f"{tol_residual:.1e}*||M||"))])
     return values, vectors
 
 

@@ -26,6 +26,9 @@ BOSONIC = "bosonic"
 class ReservoirSpec:
     """A thermal reservoir in local equilibrium.
 
+    Along a sweep axis (see ``models.common.stack_sweep``) the three numbers
+    may be arrays with one entry per point.
+
     Parameters
     ----------
     temperature : float
@@ -45,18 +48,25 @@ class ReservoirSpec:
     coupling: float = 0.0
 
     def __post_init__(self):
-        for name in ("temperature", "chemical_potential", "coupling"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if self.statistics not in (FERMIONIC, BOSONIC):
-            raise ValueError(f"unknown statistics {self.statistics!r}")
-        if self.statistics == BOSONIC and self.chemical_potential != 0.0:
-            raise ValueError("bosonic reservoirs require chemical_potential = 0")
+        fields = (self.temperature, self.chemical_potential, self.coupling)
+        # on a sweep axis every point is checked on its own
+        points = (zip(*np.broadcast_arrays(*fields))
+                  if isinstance(self.temperature, np.ndarray) else (fields,))
+        for point in points:
+            for name, value in zip(("temperature", "chemical_potential",
+                                    "coupling"), point):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            temperature, chemical_potential, coupling = point
+            if temperature <= 0:
+                raise ValueError(f"temperature must be > 0, got {temperature}")
+            if coupling < 0:
+                raise ValueError(f"coupling must be >= 0, got {coupling}")
+            if self.statistics not in (FERMIONIC, BOSONIC):
+                raise ValueError(f"unknown statistics {self.statistics!r}")
+            if self.statistics == BOSONIC and chemical_potential != 0.0:
+                raise ValueError("bosonic reservoirs require "
+                                 "chemical_potential = 0")
 
     @property
     def beta(self):
@@ -183,17 +193,19 @@ def concurrence(rho):
     order matters for states with a single one-particle coherence, the
     only fermionic case handled here). l_j are the decreasingly sorted
     eigenvalues of rho @ rho_tilde with the spin-flipped auxiliary state
-    rho_tilde = (sy (x) sy) rho* (sy (x) sy).
+    rho_tilde = (sy (x) sy) rho* (sy (x) sy). A stack ``(..., 4, 4)`` gives
+    the concurrence of each state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("concurrence is defined for 4x4 two-qubit states")
     yy = kron(_SIGMA_Y, _SIGMA_Y)
     rho_tilde = yy @ rho.conj() @ yy
     lam = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sort(np.clip(lam.real, 0.0, None))[::-1]
+    lam = np.sort(np.clip(lam.real, 0.0, None), axis=-1)[..., ::-1]
     root = np.sqrt(lam)
-    return float(max(0.0, root[0] - root[1] - root[2] - root[3]))
+    excess = root[..., 0] - root[..., 1] - root[..., 2] - root[..., 3]
+    return np.where(excess > 0.0, excess, 0.0)[()]
 
 
 def effective_temperature(p1, epsilon):

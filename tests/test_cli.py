@@ -216,6 +216,65 @@ class TestHeatEngineRuns:
                              "steps": 3})
         assert main(["run", path]) == 3
 
+    def test_linalg_error_is_numerical_failure(self, tmp_path, capsys,
+                                               monkeypatch):
+        # LinAlgError subclasses ValueError, which is a config error
+        def no_convergence(gen):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("qthermo.cli.steady_state", no_convergence)
+        assert main(["run", engine_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: SVD did not converge\n"
+
+
+class TestSweepFailures:
+    """A sweep reports the error of its first failing point in sweep order,
+    the one a point-by-point run stops at, even when a later point fails
+    in an earlier stage of the batch."""
+
+    def run(self, tmp_path, capsys, params, sweep):
+        base = json.loads(open(engine_config(tmp_path)).read())["params"]
+        path = engine_config(tmp_path, params={**base, **params}, sweep=sweep)
+        code = main(["run", path])
+        return code, capsys.readouterr().err
+
+    def test_efficiency_failure_before_later_build_failure(self, tmp_path,
+                                                           capsys):
+        # point 0 fails at eta (eps_d = mu_h) after its steady state and
+        # currents; point 2 (kappa_c < 0) fails while its params are built
+        code, err = self.run(tmp_path, capsys, {"eps_d": 0.0},
+                             {"name": "kappa_c", "start": 1.0, "stop": -1.0,
+                              "steps": 3})
+        assert (code, err) == (3, "numerical failure: efficiency undefined "
+                                  "at eps_d = mu_h\n")
+
+    def test_steady_state_failure_before_later_build_failure(self, tmp_path,
+                                                             capsys):
+        # point 0 has no dissipation (two-dimensional kernel)
+        code, err = self.run(tmp_path, capsys, {"kappa_h": 0.0},
+                             {"name": "kappa_c", "start": 0.0, "stop": -1.0,
+                              "steps": 2})
+        assert code == 3
+        assert err.startswith("numerical failure: Liouvillian kernel is "
+                              "2-dimensional")
+
+    def test_tur_failure_before_later_cumulant_failure(self, tmp_path,
+                                                       capsys):
+        # kappa_R = 0: point 0 has zero mean current, so its TUR audit (the
+        # last stage) fails; point 1 (kappa_L = 0 too) fails in cumulants
+        path = write_config(tmp_path / "fcs.json", {
+            "experiment": "fcs",
+            "params": {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
+                       "mu_R": -0.8, "kappa_L": 0.4, "kappa_R": 0.0},
+            "sweep": {"name": "kappa_L", "start": 0.4, "stop": 0.0,
+                      "steps": 2},
+            "output": {"path": str(tmp_path / "fcs.csv"), "format": "csv"}})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == \
+            "config error: TUR audit needs a nonzero mean current\n"
+        assert not (tmp_path / "fcs.csv").exists()
+
 
 class TestOtherExperiments:
     def test_double_dot_sweep(self, tmp_path):
@@ -365,6 +424,15 @@ class TestGoldenBodies:
         run(str(CONFIGS / f"{name}.json"), out=str(out), fmt="csv")
         body = "".join(read_body(out))
         assert hashlib.sha256(body.encode()).hexdigest() == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in DIGESTS
+        if "sweep" in json.loads((CONFIGS / f"{n}.json").read_text())))
+    def test_csv_body_digest_in_one_point_chunks(self, tmp_path, monkeypatch,
+                                                 name):
+        # a one-byte budget runs every sweep point as a chunk of its own
+        monkeypatch.setattr("qthermo.lindblad.BATCH_BYTES", 1)
+        self.test_csv_body_digest(tmp_path, name)
 
 
 class TestValidate:

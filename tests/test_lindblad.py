@@ -309,6 +309,12 @@ class TestLedgerOrderAndScale:
     def test_valid_channels_pass(self):
         self.check(self.GOOD, JumpChannel(RAISE, 0.2, "B", -1.0, -1))
 
+    def test_ledger_of_another_dimension_rejected(self):
+        ledger = ThermoLedger(np.eye(3), np.eye(3), self.ledger().reservoirs)
+        with pytest.raises(LedgerError, match="ledger dimension 3 does not "
+                           "match generator dimension 2"):
+            validate_ledger(GKLSGenerator(NUMBER, (self.GOOD,)), ledger)
+
     def test_residual_scale_is_per_channel(self):
         # a 1e-7 residual passes on a channel with max|L| = 1e3 (bound
         # 1e-6) and fails on one with max|L| = 1 (bound 1e-9), whatever

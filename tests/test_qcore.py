@@ -211,6 +211,32 @@ class TestEig:
         vals, _ = eig_general(random_complex(rng, 6, 6))
         assert np.all(np.diff(vals.real) <= 1e-12)
 
+    def test_corrupted_eigenpair_rejected(self, rng, monkeypatch):
+        # the residual scale is now the largest column norm, a lower bound
+        # on ||M||_2: a unit eigenvector off by 1e-6 must still fail
+        stack = random_complex(rng, 3, 5, 5)
+        eig = np.linalg.eig
+
+        def corrupted(m):
+            values, vectors = eig(m)
+            (vectors[1] if vectors.ndim == 3 else vectors)[:, 2] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", corrupted)
+        with pytest.raises(qcore.EigenvalueError, match="residual") as info:
+            eig_general(stack)
+        assert info.value.point == 1
+        with pytest.raises(qcore.EigenvalueError, match="residual"):
+            eig_general(stack[1])
+
+    def test_stack_equals_slices(self, rng):
+        stack = random_complex(rng, 4, 6, 6)
+        values, vectors = eig_general(stack)
+        for i, m in enumerate(stack):
+            one_values, one_vectors = eig_general(m)
+            assert values[i].tobytes() == one_values.tobytes()
+            assert vectors[i].tobytes() == one_vectors.tobytes()
+
 
 def rk4_oracle(m, v, t, n_steps=4000):
     """Independent fixed-step RK4 integration of dv/dt = M v."""
