@@ -379,12 +379,11 @@ def _run_tpm(cfg):
     protocol = TPMProtocol(((0.0, h0), (0.0, h1)), beta, tau)
     fwd = tpm_distribution(protocol)
     bwd = tpm_distribution(backward_protocol(protocol))
-    counts = np.zeros_like(fwd.joint)
-    if n_samples > 0:
-        samples = tpm_sample(protocol, cfg["seed"], n_samples)
-        np.add.at(counts, (samples.initial, samples.final), 1)
-    rows = []
     dim = fwd.p_initial.size
+    samples = tpm_sample(protocol, cfg["seed"], n_samples)
+    counts = np.bincount(samples.initial * dim + samples.final,
+                         minlength=dim * dim).reshape(dim, dim)
+    rows = []
     for n in range(dim):
         for m in range(dim):
             rows.append([n, m, float(fwd.work[n, m]),

@@ -27,7 +27,11 @@ execution order or batch size. Seeds are integers in [0, 2**64 - 1].
   (numpy's ``random()`` of that Philox state). Draw 0 picks the initial
   state. Jumps read the stream in batches of 64 draws: each jump takes the
   next two draws (waiting time, channel) and moves on to the next batch
-  when fewer than two are left, so draw 63 is never used.
+  when fewer than two are left, so draw 63 is never used. The waiting
+  time out of a state of escape rate r is -log(1 - u) / r, with the C
+  library's log (the one ``math.log`` calls) applied as a ufunc through
+  ``scipy.special.xlogy(1, .)``, so ensembles are bit-reproducible for a
+  given libm.
 """
 
 import math
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import xlogy
 
 from .lindblad import validate_ledger
 from .qcore import KB, dagger, expm_dense, hermitize
@@ -48,8 +53,16 @@ class PopulationClosureError(ValueError):
     """Generator is not population-closed; use the fcs module instead."""
 
 
+def _integer(name, value):
+    """``value`` as an int, or a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed):
-    seed = operator.index(seed)
+    seed = _integer("seed", seed)
     if not 0 <= seed <= _SEED_MAX:
         raise ValueError(f"seed must be an integer in [0, 2**64 - 1], "
                          f"got {seed}")
@@ -86,10 +99,10 @@ class TPMProtocol:
     tau: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         segs = tuple((float(t), _check_real_symmetric(h))
                      for t, h in self.segments)
         if not segs:
@@ -578,10 +591,11 @@ class _Streams:
             self.block_no = block_no
         return (self.block[position % 4] >> 11) * 2.0**-53
 
-    def keep(self, mask):
-        self.index = self.index[mask]
+    def keep(self, on):
+        """Keep only the trajectories at the sorted indices ``on``."""
+        self.index = self.index.take(on)
         if self.block is not None:
-            self.block = self.block[:, mask]
+            self.block = self.block.take(on, axis=1)
 
 
 def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
@@ -594,17 +608,22 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     positive into the reservoir); the boundary entropy term uses the
     ensemble rate-equation populations at 0 and tau. Trajectory i draws
     from its own Philox stream (see the module docstring), so it depends
-    only on (seed, i). ``n_traj`` must be at least 1.
+    only on (seed, i). ``n_traj`` must be an integer of at least 1 and
+    ``tau`` finite and >= 0.
     """
     seed = _check_seed(seed)
+    n_traj = _integer("n_traj", n_traj)
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     validate_ledger(gen, ledger)
     basis, moves, rate_matrix = _population_structure(gen, ledger)
     reservoirs, tables, quanta = _state_tables(gen, ledger, moves)
     dim = rate_matrix.shape[0]
     p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (dim,) or p0.min() < -1e-12 or abs(p0.sum() - 1) > 1e-10:
+    if (p0.shape != (dim,) or not np.isfinite(p0).all() or p0.min() < -1e-12
+            or abs(p0.sum() - 1) > 1e-10):
         raise ValueError("p0 must be a population vector over the basis")
     p0 = np.clip(p0, 0.0, None)
     p0 = p0 / p0.sum()
@@ -650,6 +669,10 @@ def _unravel_chunk(pos, seed, cum_p0, tables, quanta, tau,
     totals, cum, targets, channels = tables
     res_idx, dq, dw = quanta
     last_move = np.count_nonzero(targets >= 0, axis=1) - 1
+    # flat views of the C-contiguous (reservoir, trajectory) accumulators;
+    # a step adds to one distinct cell per live trajectory
+    heat_cells, work_cells = heat.reshape(-1), work.reshape(-1)
+    res_offset = res_idx * heat.shape[1]
     streams = _Streams(seed, pos)
     state = np.searchsorted(cum_p0, streams.uniform(0), side="right")
     state = np.minimum(state, cum_p0.size - 1)
@@ -657,37 +680,36 @@ def _unravel_chunk(pos, seed, cum_p0, tables, quanta, tau,
     t = np.zeros(pos.size)
     j = 0
     while pos.size:
-        total = totals[state]
+        total = totals.take(state)
         stuck = total <= 0.0
         if stuck.any():
             final[pos[stuck]] = state[stuck]
-            pos, state, t, total = (pos[~stuck], state[~stuck], t[~stuck],
-                                    total[~stuck])
-            streams.keep(~stuck)
-            if not pos.size:
-                break
-        first, second = _jump_draws(j)
-        rest = (1.0 - streams.uniform(first)).tolist()
-        # math.log, not np.log: the two differ in the last bit for a few
-        # arguments, and the streams are pinned to math.log
-        dt = -np.fromiter(map(math.log, rest), float, len(rest)) / total
-        late = t + dt > tau
-        if late.any():
-            final[pos[late]] = state[late]
-            on = ~late
-            pos, state, t, dt, total = (pos[on], state[on], t[on], dt[on],
-                                        total[on])
+            on = np.flatnonzero(~stuck)
+            pos, state, t, total = (a.take(on) for a in (pos, state, t, total))
             streams.keep(on)
             if not pos.size:
                 break
+        first, second = _jump_draws(j)
+        # xlogy(1, .) applies the C library's log, the one math.log calls;
+        # np.log's SIMD kernel differs from it in the last bit for some inputs
+        dt = -xlogy(1.0, 1.0 - streams.uniform(first)) / total
         t = t + dt
+        late = t > tau
+        if late.any():
+            final[pos[late]] = state[late]
+            on = np.flatnonzero(~late)
+            pos, state, t, total = (a.take(on) for a in (pos, state, t, total))
+            streams.keep(on)
+            if not pos.size:
+                break
         x = streams.uniform(second) * total
-        local = np.count_nonzero(cum[state] <= x[:, None], axis=1)
-        local = np.minimum(local, last_move[state])
-        k = channels[state, local]
-        heat[res_idx[k], pos] += dq[k]
-        work[res_idx[k], pos] += dw[k]
-        state = targets[state, local]
+        local = sum(col.take(state) <= x for col in cum.T)
+        move = state * cum.shape[1] + np.minimum(local, last_move.take(state))
+        k = channels.take(move)
+        cell = res_offset.take(k) + pos
+        np.add.at(heat_cells, cell, dq.take(k))
+        np.add.at(work_cells, cell, dw.take(k))
+        state = targets.take(move)
         if events is not None:
             for i, ti, ki in zip(pos.tolist(), t.tolist(), k.tolist()):
                 events[i].append((ti, ki))

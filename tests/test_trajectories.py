@@ -1,9 +1,11 @@
 import hashlib
 import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               heat_current, propagate, steady_state)
@@ -662,6 +664,86 @@ class TestUnravelMatchesScalarReference:
         assert ens.events == events
 
 
+def closed_generator(dim, n_res, seed, absorbing):
+    """(generator, ledger) of a random population-closed jump process.
+
+    H = H_TD is diagonal with levels on a coarse grid. Each reservoir
+    drives a random set of level pairs with |i><j| and |j><i| at rates in
+    the local-detailed-balance ratio; the first one links state 0 to every
+    other state, so row 0 of the jump tables has at least d - 1 moves and
+    shorter rows are padded. About one pair in five has both rates zero.
+    With ``absorbing``, every channel out of the last state has rate zero.
+    """
+    rng = np.random.default_rng(seed)
+    energies = 0.5 * rng.integers(0, 4, dim)
+    numbers = rng.integers(0, 3, dim)
+    reservoirs, channels = {}, []
+    for r in range(n_res):
+        tag = f"r{r}"
+        res = ReservoirSpec(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0),
+                            "fermionic", rng.uniform(0.5, 2.0))
+        reservoirs[tag] = res
+        pairs = {(i, j) for i in range(dim) for j in range(i + 1, dim)
+                 if rng.random() < 0.5}
+        if r == 0:
+            pairs |= {(0, j) for j in range(1, dim)}
+        for i, j in sorted(pairs):
+            omega = float(energies[j] - energies[i])
+            n = int(numbers[j] - numbers[i])
+            x = (omega - res.chemical_potential * n) / res.temperature
+            scale = 0.0 if rng.random() < 0.2 else res.coupling
+            lower = np.zeros((dim, dim))
+            lower[i, j] = 1.0  # j -> i
+            for op, source, rate, w, m in (
+                    (lower, j, scale / (1 + math.exp(-x)), omega, n),
+                    (lower.T, i, scale / (1 + math.exp(x)), -omega, -n)):
+                if absorbing and source == dim - 1:
+                    rate = 0.0
+                channels.append(JumpChannel(op, rate, tag, w, m))
+    h = np.diag(energies).astype(complex)
+    gen = GKLSGenerator(h, tuple(channels))
+    return gen, ThermoLedger(h, np.diag(numbers), reservoirs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(2, 5), n_res=st.integers(1, 3),
+       model_seed=st.integers(0, 2**32 - 1), absorbing=st.booleans(),
+       tau=st.floats(0.5, 60.0), seed=st.integers(0, 2**64 - 1),
+       n_traj=st.integers(1, 30), chunk=st.integers(1, 16))
+def test_unravel_matches_scalar_reference_on_random_generators(
+        dim, n_res, model_seed, absorbing, tau, seed, n_traj, chunk):
+    gen, ledger = closed_generator(dim, n_res, model_seed, absorbing)
+    p0 = np.random.default_rng(model_seed).dirichlet(np.ones(dim))
+    with mock.patch.object(trajectories, "_CHUNK", chunk), \
+            np.errstate(divide="ignore"):  # p(tau) may vanish: Sigma = inf
+        ens = unravel(gen, ledger, p0, tau, seed, n_traj)
+    initial, final, heat, work, events = scalar_unravel(
+        gen, ledger, p0, tau, seed, n_traj)
+    assert ens.initial.tobytes() == np.array(initial).tobytes()
+    assert ens.final.tobytes() == np.array(final).tobytes()
+    for r, tag in enumerate(gen.reservoirs()):
+        assert ens.heat[tag].tobytes() == heat[r].tobytes()
+        assert ens.work[tag].tobytes() == work[r].tobytes()
+    assert ens.events == events
+
+
+def test_waiting_time_log_is_libm_log():
+    """The waiting times take the C library's log, the one math.log calls,
+    through scipy.special.xlogy(1, .); np.log's own kernel differs from it
+    in the last bit for some arguments. The arguments have the stream's
+    form 1 - (x >> 11) 2**-53 for uint64 words x, plus its extremes."""
+    words = np.random.Philox(2024).random_raw(2**20)
+    args = np.concatenate([1.0 - (words >> np.uint64(11)) * 2.0**-53,
+                           [1.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+    expected = np.array([math.log(a) for a in args.tolist()])
+    got = trajectories.xlogy(1.0, args)
+    bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert bad.size == 0, (
+        f"scipy.special.xlogy(1, .) differs from math.log (the C library's "
+        f"log) on {bad.size} of {args.size} arguments, first at "
+        f"{args[bad[0]]!r}; the ensembles would no longer be reproducible")
+
+
 class TestPhilox:
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 2])
     @pytest.mark.parametrize("block, index", [
@@ -728,3 +810,43 @@ class TestSeedsAndSizes:
         with pytest.raises(ValueError, match="2 trajectories"):
             ft_estimators(many, one)
         assert math.isfinite(ft_estimators(many).integral_stderr)
+
+
+class TestSamplingInputsRejected:
+    """Inputs that would hang the sampler or poison its output raise a
+    ValueError naming the argument before any sampling starts. The chunk
+    sampler is replaced by one that fails, so a lost check fails the test
+    instead of looping forever."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(trajectories, "_unravel_chunk", refuse)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_unravel_rejects_bad_tau(self, tau):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        with pytest.raises(ValueError, match="tau"):
+            unravel(gen, ledger, np.array([0.5, 0.5]), tau, 1, 10)
+
+    @pytest.mark.parametrize("p0", [[math.nan, 1.0], [math.inf, 0.0]])
+    def test_unravel_rejects_non_finite_population(self, p0):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        with pytest.raises(ValueError, match="p0"):
+            unravel(gen, ledger, np.array(p0), 1.0, 1, 10)
+
+    @pytest.mark.parametrize("name", ["seed", "n_traj"])
+    @pytest.mark.parametrize("value", [10.0, "10"])
+    def test_unravel_rejects_non_integer(self, name, value):
+        gen, ledger = single_dot_generator(biased_dot_params())
+        args = {"seed": 1, "n_traj": 10, name: value}
+        with pytest.raises(ValueError, match=name):
+            unravel(gen, ledger, np.array([0.5, 0.5]), 1.0, **args)
+
+    @pytest.mark.parametrize("beta, tau, name", [
+        (math.nan, 1.0, "beta"), (math.inf, 1.0, "beta"),
+        (1.0, math.nan, "tau"), (1.0, math.inf, "tau")])
+    def test_tpm_protocol_rejects_non_finite(self, beta, tau, name):
+        with pytest.raises(ValueError, match=name):
+            TPMProtocol(((0.0, 0.5 * SZ),), beta, tau)
