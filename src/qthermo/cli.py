@@ -8,9 +8,10 @@ trajectory computations, and writes machine-readable result tables
 Config dialect: JSON, schema "json/1"; unknown keys are rejected at
 every nesting level. A sweep runs as one batch along a leading sweep axis
 (see ``qthermo.lindblad``): each stage acts on all points at once, and
-the table has one row per point, in sweep order. When points fail, the
-first failing point in sweep order reports its error, the one a
-point-by-point run would have stopped at.
+the table has one row per point, in sweep order. When the batch fails,
+its points run again one at a time, in sweep order, and the first that
+fails reports its own error, the one a point-by-point run would have
+stopped at.
 """
 
 import argparse
@@ -32,7 +33,7 @@ from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
                      double_dot_sweep_concurrence, entanglement_heat_threshold,
                      fridge_coherent_transient, fridge_generator,
                      fridge_sweep_observables, fridge_switchoff_protocol,
-                     single_dot_generator, stack_sweep, sweep_map)
+                     single_dot_generator, stack_sweep)
 from .models.fridge import product_gibbs_state
 from .models.single_dot import engine_efficiency, regime_from_currents
 from .thermo import ReservoirSpec
@@ -135,6 +136,9 @@ def load_config(path):
             raise ConfigError("sweep bounds must be finite")
         if steps < 2:
             raise ConfigError("sweep.steps must be >= 2")
+        if name not in params:
+            raise ConfigError(f"sweep parameter {name!r} not present in params")
+        _typecheck(params[name], (int, float), f"sweep parameter {name!r}")
         sweep = {"name": name, "start": start, "stop": stop, "steps": steps}
     output = raw.get("output", {})
     _check_keys(output, {"path", "format"}, "config.output")
@@ -183,8 +187,8 @@ def _engine_params(p):
 
 
 def _engine_rows(points):
-    params = sweep_map(_engine_params, points)
-    gen, ledger = stack_sweep(sweep_map(single_dot_generator, params))
+    params = [_engine_params(p) for p in points]
+    gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     currents = {tag: (heat.tolist(), work.tolist()) for tag, (heat, work)
                 in all_currents(gen, ledger, steady_state(gen)).items()}
     (j_c, p_c), (j_h, p_h) = currents["c"], currents["h"]
@@ -197,7 +201,7 @@ def _engine_rows(points):
             {tag: (heat[i], work[i]) for tag, (heat, work) in currents.items()})
         return [p_c[i] + p_h[i], j_c[i], j_h[i], eta, regime]
 
-    return sweep_map(row, range(len(params)))
+    return [row(i) for i in range(len(params))]
 
 
 def _run_heat_engine(cfg):
@@ -218,8 +222,8 @@ def _double_dot_params(p):
 
 
 def _double_dot_rows(points):
-    params = sweep_map(_double_dot_params, points)
-    thresholds = sweep_map(entanglement_heat_threshold, params)
+    params = [_double_dot_params(p) for p in points]
+    thresholds = [entanglement_heat_threshold(p) for p in params]
     conc = double_dot_sweep_concurrence(params).tolist()
     return [[c, j_r, j_crit, int(entangled)]
             for c, (j_r, j_crit, entangled) in zip(conc, thresholds)]
@@ -254,7 +258,7 @@ def _fridge_params(p):
 def _fridge_rows(points):
     return [[amp, j_c, j_h, j_r, theta, int(cooling)]
             for amp, j_c, j_h, j_r, theta, cooling in
-            fridge_sweep_observables(sweep_map(_fridge_params, points))]
+            fridge_sweep_observables([_fridge_params(p) for p in points])]
 
 
 def _run_absorption(cfg):
@@ -291,24 +295,29 @@ def _run_absorption(cfg):
 _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}
 
 
-def _run_single_dot(cfg):
-    if cfg["sweep"] is not None:
-        raise ConfigError("single-dot emits a time series; sweep not supported")
-    p = cfg["params"]
+def _single_dot_params(p):
     _check_keys(p, _SINGLE_DOT_KEYS, "params")
     res_cfg = _need(p, "reservoirs", "params", dict)
     if not res_cfg:
         raise ConfigError("params.reservoirs must name at least one reservoir")
-    reservoirs = {tag: _reservoir(rc, f"params.reservoirs.{tag}")
-                  for tag, rc in res_cfg.items()}
-    params = SingleDotParams(float(_need(p, "eps_d", "params")), reservoirs)
+    return SingleDotParams(
+        float(_need(p, "eps_d", "params")),
+        {tag: _reservoir(rc, f"params.reservoirs.{tag}")
+         for tag, rc in res_cfg.items()})
+
+
+def _run_single_dot(cfg):
+    if cfg["sweep"] is not None:
+        raise ConfigError("single-dot emits a time series; sweep not supported")
+    p = cfg["params"]
+    params = _single_dot_params(p)
     p1 = float(_opt(p, "p1_initial", 0.0))
     if not 0.0 <= p1 <= 1.0:
         raise ConfigError("p1_initial must lie in [0, 1]")
     t_max = float(_need(p, "t_max", "params"))
     steps = _opt(p, "steps", 200, int)
     gen, ledger = single_dot_generator(params)
-    tags = sorted(reservoirs)
+    tags = sorted(params.reservoirs)
     rows = []
     for t in np.linspace(0.0, t_max, steps):
         rho = propagate(gen, np.diag([1.0 - p1, p1]).astype(complex), t)
@@ -331,9 +340,13 @@ def _run_single_dot(cfg):
 _FCS_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R"}
 
 
+def _fcs_params(p):
+    return _dot_params(p, _FCS_KEYS, "LR")
+
+
 def _fcs_rows(points):
-    params = sweep_map(lambda p: _dot_params(p, _FCS_KEYS, "LR"), points)
-    gen, ledger = stack_sweep(sweep_map(single_dot_generator, params))
+    params = [_fcs_params(p) for p in points]
+    gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     cfg = CountingConfig.particle(gen, "R")
     reports = cumulants(gen, cfg, cfg.fields[0].name, max_order=4)
     c = [r.value.tolist() for r in reports]
@@ -347,7 +360,7 @@ def _fcs_rows(points):
         return [c1, c2, c3, c4, c2 / c1, sigma_dot[i],
                 audit.ratio, audit.bound, satisfied]
 
-    return sweep_map(row, range(len(params)))
+    return [row(i) for i in range(len(params))]
 
 
 def _run_fcs(cfg):
@@ -398,12 +411,16 @@ _TRAJ_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
               "tau", "n_traj"}
 
 
+def _trajectory_params(p):
+    return _dot_params(p, _TRAJ_KEYS, "LR")
+
+
 def _run_trajectories(cfg):
     if cfg["sweep"] is not None:
         raise ConfigError("trajectories emits a summary table; sweep not "
                           "supported")
     p = cfg["params"]
-    params = _dot_params(p, _TRAJ_KEYS, "LR")
+    params = _trajectory_params(p)
     tau = float(_need(p, "tau", "params"))
     n_traj = _need(p, "n_traj", "params", int)
     if n_traj < 2:
@@ -439,10 +456,6 @@ def _sweepable(cfg, rows_fn, cols, units):
     if sweep is None:
         return cols, units, _first_failure(rows_fn, [params])
     name = sweep["name"]
-    if name not in params:
-        raise ConfigError(f"sweep parameter {name!r} not present in params")
-    if not isinstance(params[name], (int, float)) or isinstance(params[name], bool):
-        raise ConfigError(f"sweep parameter {name!r} is not numeric")
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
     points = [{**params, name: float(value)} for value in values]
     rows = _first_failure(rows_fn, points)
@@ -453,23 +466,17 @@ def _sweepable(cfg, rows_fn, cols, units):
 def _first_failure(rows_fn, points):
     """``rows_fn(points)``, or the error of the first failing point.
 
-    A stage of the batch raises at its first failing point, tagged with
-    its index as ``point``. A point before it may still fail in a later
-    stage, so those points run again until a batch runs clean; each rerun
-    stops in a later stage, so there are at most as many as stages.
+    When the batch fails, each point runs again on its own, in sweep
+    order, and the first that fails raises its own error: the one a
+    point-by-point run stops at. When every point passes on its own, the
+    batch's error belongs to no point and is raised as it is.
     """
-    n, failure = len(points), None
-    while n:
-        try:
-            rows = rows_fn(points[:n])
-            break
-        except Exception as exc:  # an error without a point is raised as is
-            if not hasattr(exc, "point"):
-                raise
-            n, failure = exc.point, exc
-    if failure is not None:
-        raise failure
-    return rows
+    try:
+        return rows_fn(points)
+    except Exception:
+        for point in points:
+            rows_fn([point])
+        raise
 
 
 _RUNNERS = {
@@ -565,13 +572,12 @@ def run(config_path, seed=None, out=None, fmt=None):
 
 
 _BUILDERS = {
-    "single-dot": lambda p: SingleDotParams(
-        float(_need(p, "eps_d", "params")),
-        {tag: _reservoir(rc, f"params.reservoirs.{tag}")
-         for tag, rc in _need(p, "reservoirs", "params", dict).items()}),
+    "single-dot": _single_dot_params,
     "heat-engine": _engine_params,
     "double-dot": _double_dot_params,
     "absorption": _fridge_params,
+    "fcs": _fcs_params,
+    "trajectories": _trajectory_params,
 }
 
 
@@ -581,12 +587,9 @@ def validate(config_path):
     builder = _BUILDERS.get(cfg["experiment"])
     messages = []
     if builder is not None:
-        params = dict(cfg["params"])
-        for transient_key in ("t_max", "steps", "p1_initial"):
-            params.pop(transient_key, None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            builder(params)
+            builder(cfg["params"])
         messages = [str(w.message) for w in caught]
     for msg in messages:
         print(f"warning: {msg}")

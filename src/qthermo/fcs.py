@@ -120,8 +120,8 @@ def cgf(gen, cfg, values, t, rho0, n_steps=None):
     fields (trace preservation is exact by construction). A numerically
     vanishing trace raises with diagnostics.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time t must be finite and >= 0, got {t}")
     if t == 0 or all(complex(v) == 0 for v in values.values()):
         return 0.0 + 0.0j
     tilted = counting_liouvillian(gen, cfg, values)

@@ -25,7 +25,7 @@ the batch shape in front of its results; an ordinary generator is the
 case with no sweep axes, run by the same code. Stacked numpy and
 LAPACK calls round as one call per matrix does, so each point keeps its
 bits. When points fail, the first failing one in sweep order (row-major)
-raises its own error, with its index as the exception's ``point``.
+raises its own error.
 
 The superoperator of a generator is assembled once, on first use, and
 cached on the generator as a read-only array; :func:`build_liouvillian`,
@@ -95,15 +95,22 @@ class JumpChannel:
     particle_quantum: int = 0
 
     def __post_init__(self):
-        array = isinstance(self.rate, np.ndarray)
-        for rate in self.rate.ravel() if array else (self.rate,):
+        for rate in _entries(self.rate):
             if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(f"GKLS rate must be finite and >= 0, "
                                  f"got {rate}")
+        for omega in _entries(self.energy_quantum):
+            if not math.isfinite(omega):
+                raise ValueError(f"energy quantum must be finite, got {omega}")
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
             raise ValueError("jump operator must be square")
         object.__setattr__(self, "operator", op)
+
+
+def _entries(value):
+    """The entries of a scalar or of a sweep array."""
+    return value.ravel() if isinstance(value, np.ndarray) else (value,)
 
 
 class ChannelStack(NamedTuple):
@@ -243,25 +250,15 @@ class ThermoLedger:
 
 def in_chunks(solve, gen, *args):
     """``solve(gen, *args)``, run on chunks of the first sweep axis that fit
-    :data:`BATCH_BYTES` and joined along that axis.
-
-    A failing point's ``point`` index counts from the start of the sweep.
-    """
+    :data:`BATCH_BYTES` and joined along that axis."""
     batch = gen.batch_shape
     per_row = math.prod(batch[1:])
     rows = max(1, BATCH_BYTES // (16 * gen.dim ** 4 * (len(gen.channels) + 8)
                                   * per_row))
     if not batch or batch[0] <= rows:
         return solve(gen, *args)
-    parts = []
-    for start in range(0, batch[0], rows):
-        try:
-            parts.append(solve(gen._rows(slice(start, start + rows)), *args))
-        except Exception as exc:  # re-raised with its index in the sweep
-            if hasattr(exc, "point"):
-                exc.point += start * per_row
-            raise
-    return np.concatenate(parts)
+    return np.concatenate([solve(gen._rows(slice(start, start + rows)), *args)
+                           for start in range(0, batch[0], rows)])
 
 
 def validate_ledger(gen, ledger, tol=1e-9):
@@ -341,8 +338,9 @@ def propagate(gen, rho0, t):
     The returned matrix is re-hermitized against numerical dust; trace is
     preserved by construction of the GKLS form.
     """
-    if t < 0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time t must be finite and >= 0, "
+                         f"got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()

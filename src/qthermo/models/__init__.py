@@ -12,7 +12,7 @@ from .double_dot import (DoubleDotParams, double_dot_concurrence,
 from .fridge import (FridgeParams, fridge_coherent_transient, fridge_generator,
                      fridge_observables, fridge_perturbative_I,
                      fridge_sweep_observables, fridge_switchoff_protocol)
-from .common import ValidityWarning, stack_sweep, sweep_map
+from .common import ValidityWarning, stack_sweep
 
 __all__ = [
     "SingleDotParams", "single_dot_generator", "single_dot_occupation",
@@ -26,5 +26,5 @@ __all__ = [
     "fridge_sweep_observables",
     "fridge_perturbative_I", "fridge_coherent_transient",
     "fridge_switchoff_protocol",
-    "ValidityWarning", "stack_sweep", "sweep_map",
+    "ValidityWarning", "stack_sweep",
 ]

@@ -76,16 +76,3 @@ def stack_sweep(machines):
                           tuple(channels)),
             ThermoLedger(np.stack([l.h_td for l in ledgers]),
                          np.stack([l.n_s for l in ledgers]), reservoirs))
-
-
-def sweep_map(fn, points):
-    """``[fn(p) for p in points]``; an error raised at point i carries
-    ``point = i``, as the errors of the stacked ``lindblad`` functions do."""
-    out = []
-    for i, p in enumerate(points):
-        try:
-            out.append(fn(p))
-        except Exception as exc:  # tagged with its point and re-raised
-            exc.point = i
-            raise
-    return out

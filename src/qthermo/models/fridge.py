@@ -22,7 +22,7 @@ from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
 from ..qcore import dagger, expm_dense, kron, vectorize
 from ..thermo import (ReservoirSpec, bose_einstein, effective_temperature,
                       fermi_dirac, gibbs_state)
-from .common import IDENT2, LOWER, stack_sweep, sweep_map
+from .common import IDENT2, LOWER, stack_sweep
 
 # Lowering operators in the |c h r> product basis (c most significant).
 SIGMA_C = kron(LOWER, kron(IDENT2, IDENT2))
@@ -161,7 +161,7 @@ def fridge_sweep_observables(sweep, consistency_tol=1e-9):
     points (see :func:`~qthermo.models.common.stack_sweep`); each point
     keeps its bits, and the first failing point raises.
     """
-    gen, ledger = stack_sweep(sweep_map(fridge_generator, sweep))
+    gen, ledger = stack_sweep([fridge_generator(p) for p in sweep])
     rho = steady_state(gen)
     amps = _exchange_amplitude(np.array([p.g for p in sweep]), rho).tolist()
     currents = {tag: j.tolist()
@@ -183,7 +183,7 @@ def fridge_sweep_observables(sweep, consistency_tol=1e-9):
         return (amp, currents["c"][i], currents["h"][i], currents["r"][i],
                 theta, amp > 0.0)
 
-    return sweep_map(point, range(len(sweep)))
+    return [point(i) for i in range(len(sweep))]
 
 
 def occupation_imbalance(params):
@@ -279,7 +279,6 @@ def fridge_switchoff_protocol(params, horizon_periods=3.0):
         occupation_at, times[interior - 1], times[interior + 1],
         tol=1e-10 / params.g)
     theta_min = effective_temperature(occ_min, params.eps_c)
-    gen_ss, _ = fridge_generator(params)
-    occ_ss = float(np.trace(_NUM["c"] @ steady_state(gen_ss)).real)
+    occ_ss = float(np.trace(_NUM["c"] @ steady_state(gen)).real)
     theta_ss = effective_temperature(occ_ss, params.eps_c)
     return t_min, theta_min, theta_ss

@@ -45,8 +45,7 @@ def raise_first_failure(checks):
     checked: ``failed`` is a boolean array over the points (any leading
     shape, flattened row-major) and ``error(i)`` builds the exception of
     point i. The first point in that order with a failed check raises the
-    error of its first failed check, with its index stored as the
-    exception's ``point`` attribute.
+    error of its first failed check.
     """
     flags = [np.ravel(failed) for failed, _ in checks]
     any_failed = np.logical_or.reduce(flags)
@@ -54,9 +53,7 @@ def raise_first_failure(checks):
         i = int(np.argmax(any_failed))
         for failed, (_, error) in zip(flags, checks):
             if failed[i]:
-                exc = error(i)
-                exc.point = i
-                raise exc
+                raise error(i)
 
 
 def dagger(m):
@@ -250,6 +247,7 @@ def eig_general(m, tol_residual=TOL_EIG_RESIDUAL):
 
 def expm_dense(m, t):
     """Dense propagator e^{M t}."""
-    if t < 0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time t must be finite and >= 0, "
+                         f"got {t}")
     return scipy.linalg.expm(np.asarray(m, dtype=complex) * t)

@@ -250,6 +250,9 @@ def tpm_sample(protocol, seed, n_samples):
     """Monte Carlo TPM runs: sample n from the Gibbs weights, then m from
     the conditional transition probabilities. Same seed, same stream."""
     seed = _check_seed(seed)
+    n_samples = _integer("n_samples", n_samples)
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     dist = tpm_distribution(protocol)
     # a uint64 array key: numpy converts a list key lossily from 2**63 up
     rng = np.random.Generator(np.random.Philox(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qthermo import cli
 from qthermo.cli import ConfigError, load_config, main, run, validate
 from qthermo.models import SingleDotParams, engine_regime
 from qthermo.thermo import ReservoirSpec
@@ -275,6 +276,22 @@ class TestSweepFailures:
             "config error: TUR audit needs a nonzero mean current\n"
         assert not (tmp_path / "fcs.csv").exists()
 
+    def test_error_of_no_point_is_raised_as_is(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the batch fails, but every point passes when it runs on its own
+        steady_state = cli.steady_state
+
+        def batch_only(gen):
+            if gen.batch_shape[0] > 1:
+                raise np.linalg.LinAlgError("batch of more than one point")
+            return steady_state(gen)
+
+        monkeypatch.setattr("qthermo.cli.steady_state", batch_only)
+        assert main(["run", engine_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: batch of more than one point\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestOtherExperiments:
     def test_double_dot_sweep(self, tmp_path):
@@ -462,3 +479,45 @@ class TestValidate:
                        "mu_h": 0.0, "kappa_c": 0.01, "kappa_h": 0.01}})
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out == ""
+
+    ENGINE = {"eps_d": 2.0, "T_c": 0.3, "T_h": 0.8, "mu_c": 1.0, "mu_h": 0.0,
+              "kappa_c": 0.01, "kappa_h": 0.01}
+
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "single-dot",
+          "params": {"eps_d": 1.0, "t_max": 6.0, "bogus": 1,
+                     "reservoirs": {"B": {"temperature": 0.5,
+                                          "coupling": 0.01}}}},
+         "unknown keys ['bogus'] in params"),
+        ({"experiment": "heat-engine", "params": {**ENGINE, "t_max": 5.0}},
+         "unknown keys ['t_max'] in params"),
+        ({"experiment": "heat-engine", "params": ENGINE,
+          "sweep": {"name": "eps_x", "start": 0.2, "stop": 4.2, "steps": 3}},
+         "sweep parameter 'eps_x' not present in params"),
+        ({"experiment": "heat-engine", "params": {**ENGINE, "eps_d": "2.0"},
+          "sweep": {"name": "eps_d", "start": 0.2, "stop": 4.2, "steps": 3}},
+         "sweep parameter 'eps_d' has wrong type str"),
+    ])
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, config,
+                                      message):
+        path = write_config(tmp_path / "v.json", {
+            **config, "output": {"path": str(tmp_path / "v.csv")}})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("fcs", {}), ("trajectories", {"tau": 2.0, "n_traj": 10})])
+    def test_dot_margin_warnings(self, tmp_path, capsys, experiment, extra):
+        path = write_config(tmp_path / "v.json", {
+            "experiment": experiment,
+            "params": {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
+                       "mu_R": -0.8, "kappa_L": 1.0, "kappa_R": 1.0,
+                       **extra}})
+        assert main(["validate", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        for line, tag in zip(out, "LR"):
+            assert line.startswith(f"warning: reservoir {tag!r} coupling: ")

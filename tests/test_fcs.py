@@ -110,6 +110,13 @@ class TestCGF:
         for t in (0.0, 0.7, 5.0):
             assert cgf(gen, cfg, {name: 0.0}, t, rho0) == 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time_rejected(self, rng, t):
+        gen, cfg, name = high_bias_dot(1.1, 0.5)
+        rho0 = qcore.random_density_matrix(2, rng)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            cgf(gen, cfg, {name: 0.3}, t, rho0)
+
     def test_long_time_slope_equals_dominant_eigenvalue(self, rng):
         gen, cfg, name = high_bias_dot(1.1, 0.5)
         rho0 = qcore.random_density_matrix(2, rng)

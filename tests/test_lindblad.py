@@ -59,6 +59,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             JumpChannel(LOWER, rate, "B")
 
+    @pytest.mark.parametrize("omega", [
+        math.nan, math.inf, -math.inf, np.array([1.0, math.nan])])
+    def test_non_finite_energy_quantum_rejected(self, omega):
+        with pytest.raises(ValueError, match="energy quantum must be finite"):
+            JumpChannel(LOWER, 0.1, "B", omega, 1)
+
     def test_nonhermitian_hamiltonian_rejected(self):
         with pytest.raises(ValueError):
             GKLSGenerator(np.array([[0.0, 1.0], [0.0, 0.0]]), ())
@@ -145,6 +151,14 @@ class TestPropagate:
         gen = random_generator(rng)
         rho = qcore.random_density_matrix(3, rng)
         assert np.array_equal(propagate(gen, rho, 0.0), rho)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_time_rejected(self, rng, t):
+        gen = random_generator(rng)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            propagate(gen, qcore.random_density_matrix(3, rng), t)
+        with pytest.raises(ValueError, match="time t must be finite"):
+            qcore.expm_dense(build_liouvillian(gen), t)
 
     def test_single_dot_closed_form(self):
         gen, _, res, nf = single_dot(kappa=0.4)

@@ -223,9 +223,8 @@ class TestEig:
             return values, vectors
 
         monkeypatch.setattr(np.linalg, "eig", corrupted)
-        with pytest.raises(qcore.EigenvalueError, match="residual") as info:
+        with pytest.raises(qcore.EigenvalueError, match="residual"):
             eig_general(stack)
-        assert info.value.point == 1
         with pytest.raises(qcore.EigenvalueError, match="residual"):
             eig_general(stack[1])
 

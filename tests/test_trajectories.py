@@ -850,3 +850,8 @@ class TestSamplingInputsRejected:
     def test_tpm_protocol_rejects_non_finite(self, beta, tau, name):
         with pytest.raises(ValueError, match=name):
             TPMProtocol(((0.0, 0.5 * SZ),), beta, tau)
+
+    @pytest.mark.parametrize("n_samples", [-5, 10.0, "10"])
+    def test_tpm_sample_rejects_bad_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            tpm_sample(quench_protocol(), 1, n_samples)
