@@ -6,12 +6,16 @@ trajectory computations, and writes machine-readable result tables
 3 numerical failure (any non-finite value aborts).
 
 Config dialect: JSON, schema "json/1"; unknown keys are rejected at
-every nesting level. A sweep runs as one batch along a leading sweep axis
-(see ``qthermo.lindblad``): each stage acts on all points at once, and
-the table has one row per point, in sweep order. When the batch fails,
-its points run again one at a time, in sweep order, and the first that
-fails reports its own error, the one a point-by-point run would have
-stopped at.
+every nesting level. Each experiment has one parse step that reads and
+checks every params key of one point; ``run`` and ``validate`` both use
+it, so ``validate`` rejects what ``run`` rejects and reports the
+validity warnings ``run`` raises, without computing. Only heat-engine,
+double-dot, absorption and fcs accept a sweep. A sweep runs as one batch
+along a leading sweep axis (see ``qthermo.lindblad``): each stage acts on
+all points at once, and the table has one row per point, in sweep order.
+When the batch fails, its points run again one at a time, in sweep order,
+and the first that fails reports its own error, the one a point-by-point
+run would have stopped at.
 """
 
 import argparse
@@ -48,9 +52,6 @@ EXIT_NUMERIC = 3
 CONFIG_DIALECT = "json/1"
 # seeds are 64-bit Philox key words; trajectories also uses seed + 1
 SEED_MAX = 2**64 - 2
-
-EXPERIMENTS = ("single-dot", "heat-engine", "double-dot", "absorption",
-               "fcs", "tpm", "trajectories")
 
 
 class ConfigError(ValueError):
@@ -121,12 +122,14 @@ def load_config(path):
     experiment = _need(raw, "experiment", "config", str)
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {EXPERIMENTS}")
+                          f"choose from {tuple(EXPERIMENTS)}")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config.params must be an object")
     sweep = raw.get("sweep")
     if sweep is not None:
+        if EXPERIMENTS[experiment][2] is None:
+            raise ConfigError(f"{experiment} does not support a sweep")
         _check_keys(sweep, {"name", "start", "stop", "steps"}, "config.sweep")
         name = _need(sweep, "name", "config.sweep", str)
         start = float(_need(sweep, "start", "config.sweep"))
@@ -162,7 +165,9 @@ def _reservoir(cfg, where, statistics="fermionic"):
 
 
 # ---------------------------------------------------------------------------
-# Experiment table builders: each returns (columns, units, rows)
+# Experiments. Each parses the params of one point: it reads every key its
+# tables use, runs every check and builds the objects they compute from. Its
+# tables map a list of parsed points and the seed to (columns, units, rows).
 # ---------------------------------------------------------------------------
 
 def _fermionic(p, tags):
@@ -179,6 +184,13 @@ def _dot_params(p, keys, tags):
                            _fermionic(p, tags))
 
 
+def _steps(p, default):
+    steps = _opt(p, "steps", default, int)
+    if steps < 2:
+        raise ConfigError("params.steps must be >= 2")
+    return steps
+
+
 _ENGINE_KEYS = {"eps_d", "T_c", "T_h", "mu_c", "mu_h", "kappa_c", "kappa_h"}
 
 
@@ -186,8 +198,7 @@ def _engine_params(p):
     return _dot_params(p, _ENGINE_KEYS, "ch")
 
 
-def _engine_rows(points):
-    params = [_engine_params(p) for p in points]
+def _engine_table(params, seed):
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     currents = {tag: (heat.tolist(), work.tolist()) for tag, (heat, work)
                 in all_currents(gen, ledger, steady_state(gen)).items()}
@@ -201,13 +212,9 @@ def _engine_rows(points):
             {tag: (heat[i], work[i]) for tag, (heat, work) in currents.items()})
         return [p_c[i] + p_h[i], j_c[i], j_h[i], eta, regime]
 
-    return [row(i) for i in range(len(params))]
-
-
-def _run_heat_engine(cfg):
-    cols = ["P", "J_c", "J_h", "eta", "regime"]
-    units = ["kref^2", "kref^2", "kref^2", "1", "-"]
-    return _sweepable(cfg, _engine_rows, cols, units)
+    return (["P", "J_c", "J_h", "eta", "regime"],
+            ["kref^2", "kref^2", "kref^2", "1", "-"],
+            [row(i) for i in range(len(params))])
 
 
 _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
@@ -221,18 +228,13 @@ def _double_dot_params(p):
         _fermionic(p, "LR"), mode=_opt(p, "mode", "local", str))
 
 
-def _double_dot_rows(points):
-    params = [_double_dot_params(p) for p in points]
+def _double_dot_table(params, seed):
     thresholds = [entanglement_heat_threshold(p) for p in params]
     conc = double_dot_sweep_concurrence(params).tolist()
-    return [[c, j_r, j_crit, int(entangled)]
-            for c, (j_r, j_crit, entangled) in zip(conc, thresholds)]
-
-
-def _run_double_dot(cfg):
-    cols = ["concurrence", "J_R", "J_crit", "entangled"]
-    units = ["1", "kref^2", "kref^2", "bool"]
-    return _sweepable(cfg, _double_dot_rows, cols, units)
+    return (["concurrence", "J_R", "J_crit", "entangled"],
+            ["1", "kref^2", "kref^2", "bool"],
+            [[c, j_r, j_crit, int(entangled)]
+             for c, (j_r, j_crit, entangled) in zip(conc, thresholds)])
 
 
 _FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
@@ -240,11 +242,10 @@ _FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
 
 
 def _fridge_params(p):
+    """(FridgeParams, horizon of the transient or None, its steps)."""
     _check_keys(p, _FRIDGE_KEYS, "params")
-    kwargs = {}
-    if "eps_r" in p:
-        kwargs["eps_r"] = float(p["eps_r"])
-    return FridgeParams(
+    eps_r = _opt(p, "eps_r", None)
+    params = FridgeParams(
         float(_need(p, "eps_c", "params")),
         float(_need(p, "eps_h", "params")),
         float(_need(p, "g", "params")),
@@ -252,26 +253,25 @@ def _fridge_params(p):
                             "bosonic",
                             float(_need(p, f"kappa_{tag}", "params")))
          for tag in ("c", "h", "r")},
-        **kwargs)
+        None if eps_r is None else float(eps_r))
+    t_max = float(_opt(p, "t_max", 0.0))
+    if t_max < 0:
+        raise ConfigError("params.t_max must be >= 0")
+    return params, t_max or None, _steps(p, 400)
 
 
-def _fridge_rows(points):
-    return [[amp, j_c, j_h, j_r, theta, int(cooling)]
-            for amp, j_c, j_h, j_r, theta, cooling in
-            fridge_sweep_observables([_fridge_params(p) for p in points])]
+def _fridge_table(points, seed):
+    return (["I", "J_c", "J_h", "J_r", "theta", "cooling"],
+            ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"],
+            [[amp, j_c, j_h, j_r, theta, int(cooling)]
+             for amp, j_c, j_h, j_r, theta, cooling in
+             fridge_sweep_observables([params for params, _, _ in points])])
 
 
-def _run_absorption(cfg):
-    if cfg["sweep"] is not None:
-        cols = ["I", "J_c", "J_h", "J_r", "theta", "cooling"]
-        units = ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"]
-        return _sweepable(cfg, _fridge_rows, cols, units)
-    # transient protocol: run with the interaction on until the first
-    # temperature minimum, switch off there, keep recording
-    p = dict(cfg["params"])
-    t_max = float(_opt(p, "t_max", 0.0)) or None
-    steps = _opt(p, "steps", 400, int)
-    params = _fridge_params(p)
+def _fridge_transient_table(points, seed):
+    # run with the interaction on until the first temperature minimum,
+    # switch off there, keep recording
+    [(params, t_max, steps)] = points
     t_min, _, _ = fridge_switchoff_protocol(params)
     horizon = t_max if t_max is not None else 3.0 * t_min
     n_on = max(2, int(steps * t_min / horizon) + 1)
@@ -296,26 +296,26 @@ _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}
 
 
 def _single_dot_params(p):
+    """(SingleDotParams, initial occupation, end time, steps)."""
     _check_keys(p, _SINGLE_DOT_KEYS, "params")
     res_cfg = _need(p, "reservoirs", "params", dict)
     if not res_cfg:
         raise ConfigError("params.reservoirs must name at least one reservoir")
-    return SingleDotParams(
+    params = SingleDotParams(
         float(_need(p, "eps_d", "params")),
         {tag: _reservoir(rc, f"params.reservoirs.{tag}")
          for tag, rc in res_cfg.items()})
-
-
-def _run_single_dot(cfg):
-    if cfg["sweep"] is not None:
-        raise ConfigError("single-dot emits a time series; sweep not supported")
-    p = cfg["params"]
-    params = _single_dot_params(p)
     p1 = float(_opt(p, "p1_initial", 0.0))
     if not 0.0 <= p1 <= 1.0:
         raise ConfigError("p1_initial must lie in [0, 1]")
     t_max = float(_need(p, "t_max", "params"))
-    steps = _opt(p, "steps", 200, int)
+    if t_max <= 0:
+        raise ConfigError("params.t_max must be > 0")
+    return params, p1, t_max, _steps(p, 200)
+
+
+def _single_dot_table(points, seed):
+    [(params, p1, t_max, steps)] = points
     gen, ledger = single_dot_generator(params)
     tags = sorted(params.reservoirs)
     rows = []
@@ -344,8 +344,7 @@ def _fcs_params(p):
     return _dot_params(p, _FCS_KEYS, "LR")
 
 
-def _fcs_rows(points):
-    params = [_fcs_params(p) for p in points]
+def _fcs_table(params, seed):
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     cfg = CountingConfig.particle(gen, "R")
     reports = cumulants(gen, cfg, cfg.fields[0].name, max_order=4)
@@ -360,24 +359,18 @@ def _fcs_rows(points):
         return [c1, c2, c3, c4, c2 / c1, sigma_dot[i],
                 audit.ratio, audit.bound, satisfied]
 
-    return [row(i) for i in range(len(params))]
-
-
-def _run_fcs(cfg):
-    cols = ["c1", "c2", "c3", "c4", "fano", "sigma_dot", "tur_ratio",
-            "tur_bound", "tur_satisfied"]
-    units = ["kref", "kref", "kref", "kref", "1", "kB*kref", "1/kref",
-             "1/kref", "bool"]
-    return _sweepable(cfg, _fcs_rows, cols, units)
+    return (["c1", "c2", "c3", "c4", "fano", "sigma_dot", "tur_ratio",
+             "tur_bound", "tur_satisfied"],
+            ["kref", "kref", "kref", "kref", "1", "kB*kref", "1/kref",
+             "1/kref", "bool"],
+            [row(i) for i in range(len(params))])
 
 
 _TPM_KEYS = {"eps0", "angle", "beta", "tau", "n_samples"}
 
 
-def _run_tpm(cfg):
-    if cfg["sweep"] is not None:
-        raise ConfigError("tpm emits a distribution table; sweep not supported")
-    p = cfg["params"]
+def _tpm_params(p):
+    """(TPMProtocol of the sudden quench, number of samples)."""
     _check_keys(p, _TPM_KEYS, "params")
     eps0 = float(_need(p, "eps0", "params"))
     angle = float(_need(p, "angle", "params"))
@@ -389,11 +382,15 @@ def _run_tpm(cfg):
     h0 = 0.5 * eps0 * np.array([[1.0, 0.0], [0.0, -1.0]])
     h1 = 0.5 * eps0 * (math.cos(angle) * np.array([[1.0, 0.0], [0.0, -1.0]])
                        + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    protocol = TPMProtocol(((0.0, h0), (0.0, h1)), beta, tau)
+    return TPMProtocol(((0.0, h0), (0.0, h1)), beta, tau), n_samples
+
+
+def _tpm_table(points, seed):
+    [(protocol, n_samples)] = points
     fwd = tpm_distribution(protocol)
     bwd = tpm_distribution(backward_protocol(protocol))
     dim = fwd.p_initial.size
-    samples = tpm_sample(protocol, cfg["seed"], n_samples)
+    samples = tpm_sample(protocol, seed, n_samples)
     counts = np.bincount(samples.initial * dim + samples.final,
                          minlength=dim * dim).reshape(dim, dim)
     rows = []
@@ -412,25 +409,24 @@ _TRAJ_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
 
 
 def _trajectory_params(p):
-    return _dot_params(p, _TRAJ_KEYS, "LR")
-
-
-def _run_trajectories(cfg):
-    if cfg["sweep"] is not None:
-        raise ConfigError("trajectories emits a summary table; sweep not "
-                          "supported")
-    p = cfg["params"]
-    params = _trajectory_params(p)
+    """(SingleDotParams, duration, number of trajectories)."""
+    params = _dot_params(p, _TRAJ_KEYS, "LR")
     tau = float(_need(p, "tau", "params"))
+    if tau < 0:
+        raise ConfigError("params.tau must be >= 0")
     n_traj = _need(p, "n_traj", "params", int)
     if n_traj < 2:
         raise ConfigError("params.n_traj must be >= 2")
+    return params, tau, n_traj
+
+
+def _trajectory_table(points, seed):
+    [(params, tau, n_traj)] = points
     gen, ledger = single_dot_generator(params)
     rho_ss = steady_state(gen)
     p0 = np.real(np.diag(rho_ss))
-    fwd = unravel(gen, ledger, p0, tau, cfg["seed"], n_traj,
-                  record_events=False)
-    bwd = backward_ensemble(gen, ledger, fwd, cfg["seed"] + 1)
+    fwd = unravel(gen, ledger, p0, tau, seed, n_traj, record_events=False)
+    bwd = backward_ensemble(gen, ledger, fwd, seed + 1)
     report = ft_estimators(fwd, bwd)
     rows = [["ift_estimate", report.integral_estimate,
              report.integral_stderr],
@@ -448,23 +444,45 @@ def _run_trajectories(cfg):
     return cols, units, rows
 
 
-def _sweepable(cfg, rows_fn, cols, units):
-    """Run an experiment at one point, or as one batch over a sweep of one
-    numeric param; ``rows_fn`` maps a list of param dicts to their rows."""
-    params = cfg["params"]
-    sweep = cfg["sweep"]
+# name: (parse the params of one point, table at one point, table of a
+# sweep or None when the experiment takes no sweep)
+EXPERIMENTS = {
+    "single-dot": (_single_dot_params, _single_dot_table, None),
+    "heat-engine": (_engine_params, _engine_table, _engine_table),
+    "double-dot": (_double_dot_params, _double_dot_table, _double_dot_table),
+    "absorption": (_fridge_params, _fridge_transient_table, _fridge_table),
+    "fcs": (_fcs_params, _fcs_table, _fcs_table),
+    "tpm": (_tpm_params, _tpm_table, None),
+    "trajectories": (_trajectory_params, _trajectory_table, None),
+}
+
+
+def _points(cfg):
+    """The params of each point: the params themselves, or one copy per
+    sweep value with the swept param set to it."""
+    params, sweep = cfg["params"], cfg["sweep"]
     if sweep is None:
-        return cols, units, _first_failure(rows_fn, [params])
-    name = sweep["name"]
+        return [params]
     values = np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
-    points = [{**params, name: float(value)} for value in values]
-    rows = _first_failure(rows_fn, points)
+    return [{**params, sweep["name"]: float(value)} for value in values]
+
+
+def _table(cfg):
+    """(columns, units, rows) of the config's experiment; a sweep runs as
+    one batch and prepends the swept param as a column."""
+    parse, table, sweep_table = EXPERIMENTS[cfg["experiment"]]
+    points, sweep, seed = _points(cfg), cfg["sweep"], cfg["seed"]
+    if sweep is None:
+        return table([parse(points[0])], seed)
+    cols, units, rows = _first_failure(
+        lambda batch: sweep_table([parse(p) for p in batch], seed), points)
+    name = sweep["name"]
     return ([name] + cols, ["param"] + units,
             [[point[name]] + row for point, row in zip(points, rows)])
 
 
-def _first_failure(rows_fn, points):
-    """``rows_fn(points)``, or the error of the first failing point.
+def _first_failure(table_fn, points):
+    """``table_fn(points)``, or the error of the first failing point.
 
     When the batch fails, each point runs again on its own, in sweep
     order, and the first that fails raises its own error: the one a
@@ -472,22 +490,11 @@ def _first_failure(rows_fn, points):
     batch's error belongs to no point and is raised as it is.
     """
     try:
-        return rows_fn(points)
+        return table_fn(points)
     except Exception:
         for point in points:
-            rows_fn([point])
+            table_fn([point])
         raise
-
-
-_RUNNERS = {
-    "single-dot": _run_single_dot,
-    "heat-engine": _run_heat_engine,
-    "double-dot": _run_double_dot,
-    "absorption": _run_absorption,
-    "fcs": _run_fcs,
-    "tpm": _run_tpm,
-    "trajectories": _run_trajectories,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +562,7 @@ def run(config_path, seed=None, out=None, fmt=None):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         cfg["output"]["format"] = fmt
     t0 = time.perf_counter()
-    cols, units, rows = _RUNNERS[cfg["experiment"]](cfg)
+    cols, units, rows = _table(cfg)
     _check_table(cols, rows)
     metadata = {
         "qthermo_version": __version__,
@@ -571,26 +578,19 @@ def run(config_path, seed=None, out=None, fmt=None):
     return cfg["output"]["path"]
 
 
-_BUILDERS = {
-    "single-dot": _single_dot_params,
-    "heat-engine": _engine_params,
-    "double-dot": _double_dot_params,
-    "absorption": _fridge_params,
-    "fcs": _fcs_params,
-    "trajectories": _trajectory_params,
-}
-
-
 def validate(config_path):
-    """Parse the config and report validity-margin warnings without running."""
+    """Parse every point of the config as ``run`` does, without computing.
+
+    Prints each distinct validity warning once, in the order raised, and
+    returns them: the warnings ``run`` raises for the same config.
+    """
     cfg = load_config(config_path)
-    builder = _BUILDERS.get(cfg["experiment"])
-    messages = []
-    if builder is not None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            builder(cfg["params"])
-        messages = [str(w.message) for w in caught]
+    parse = EXPERIMENTS[cfg["experiment"]][0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for point in _points(cfg):
+            parse(point)
+    messages = list(dict.fromkeys(str(w.message) for w in caught))
     for msg in messages:
         print(f"warning: {msg}")
     return messages

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from qthermo import cli
 from qthermo.cli import ConfigError, load_config, main, run, validate
-from qthermo.models import SingleDotParams, engine_regime
+from qthermo.models import SingleDotParams, ValidityWarning, engine_regime
 from qthermo.thermo import ReservoirSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -482,6 +483,16 @@ class TestValidate:
 
     ENGINE = {"eps_d": 2.0, "T_c": 0.3, "T_h": 0.8, "mu_c": 1.0, "mu_h": 0.0,
               "kappa_c": 0.01, "kappa_h": 0.01}
+    SINGLE_DOT = {"eps_d": 1.0, "t_max": 6.0,
+                  "reservoirs": {"B": {"temperature": 0.5, "coupling": 0.01}}}
+    FRIDGE = {"eps_c": 0.3, "eps_h": 0.7, "g": 0.05, "T_c": 0.4, "T_r": 1.0,
+              "T_h": 2.0, "kappa_c": 0.005, "kappa_h": 0.005,
+              "kappa_r": 0.005}
+    TPM = {"eps0": 1.0, "angle": 0.9, "beta": 1.0, "tau": 0.7,
+           "n_samples": 100}
+    TRAJECTORIES = {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
+                    "mu_R": -0.8, "kappa_L": 0.01, "kappa_R": 0.01,
+                    "tau": 2.0, "n_traj": 10}
 
     @pytest.mark.parametrize("config, message", [
         ({"experiment": "single-dot",
@@ -497,6 +508,50 @@ class TestValidate:
         ({"experiment": "heat-engine", "params": {**ENGINE, "eps_d": "2.0"},
           "sweep": {"name": "eps_d", "start": 0.2, "stop": 4.2, "steps": 3}},
          "sweep parameter 'eps_d' has wrong type str"),
+        ({"experiment": "heat-engine", "params": ENGINE,
+          "sweep": {"name": "kappa_c", "start": 0.01, "stop": -0.01,
+                    "steps": 3}},
+         "coupling must be >= 0, got -0.01"),
+        ({"experiment": "tpm", "params": {**TPM, "bogus": 1}},
+         "unknown keys ['bogus'] in params"),
+        ({"experiment": "single-dot", "params": SINGLE_DOT,
+          "sweep": {"name": "eps_d", "start": 0.5, "stop": 1.5, "steps": 3}},
+         "single-dot does not support a sweep"),
+        ({"experiment": "single-dot",
+          "params": {k: v for k, v in SINGLE_DOT.items() if k != "t_max"}},
+         "missing key 't_max' in params"),
+        ({"experiment": "single-dot",
+          "params": {**SINGLE_DOT, "p1_initial": 2.0}},
+         "p1_initial must lie in [0, 1]"),
+        ({"experiment": "trajectories",
+          "params": {**TRAJECTORIES, "n_traj": 1}},
+         "params.n_traj must be >= 2"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "steps": "x"}},
+         "key 'steps' has wrong type str"),
+        ({"experiment": "tpm", "params": {**TPM, "n_samples": -3}},
+         "params.n_samples must be >= 0"),
+        ({"experiment": "tpm", "params": {**TPM, "beta": -1}},
+         "beta must be finite and > 0, got -1.0"),
+        ({"experiment": "tpm", "params": {**TPM, "tau": -0.7}},
+         "tau must be finite and >= 0, got -0.7"),
+        ({"experiment": "single-dot", "params": {**SINGLE_DOT, "steps": 0}},
+         "params.steps must be >= 2"),
+        ({"experiment": "single-dot", "params": {**SINGLE_DOT, "steps": -1}},
+         "params.steps must be >= 2"),
+        ({"experiment": "single-dot", "params": {**SINGLE_DOT, "t_max": -1.0}},
+         "params.t_max must be > 0"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "steps": 0}},
+         "params.steps must be >= 2"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "t_max": -1.0}},
+         "params.t_max must be >= 0"),
+        ({"experiment": "trajectories",
+          "params": {**TRAJECTORIES, "tau": -1.0}},
+         "params.tau must be >= 0"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": True},
+          "sweep": {"name": "g", "start": 0.01, "stop": 0.05, "steps": 3}},
+         "key 'eps_r' has wrong type bool"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": "x"}},
+         "key 'eps_r' has wrong type str"),
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, config,
                                       message):
@@ -507,6 +562,19 @@ class TestValidate:
         assert message in err
         assert main(["validate", path]) == 2
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in CONFIGS.glob("*.json")))
+    def test_reports_the_warnings_of_run(self, tmp_path, capsys, name):
+        path = str(CONFIGS / f"{name}.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(path, out=str(tmp_path / "out.csv"))
+        raised = dict.fromkeys(str(w.message) for w in caught
+                               if issubclass(w.category, ValidityWarning))
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.splitlines() == \
+            [f"warning: {msg}" for msg in raised]
 
     @pytest.mark.parametrize("experiment, extra", [
         ("fcs", {}), ("trajectories", {"tau": 2.0, "n_traj": 10})])
