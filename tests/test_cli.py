@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -229,6 +230,29 @@ class TestHeatEngineRuns:
         assert capsys.readouterr().err == \
             "numerical failure: SVD did not converge\n"
 
+    def test_first_non_finite_cell_in_row_major_order(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # eta (column 4) is inf at rows 2 and 6, J_c (column 2) is nan at
+        # row 5: row 2 comes first, although its column is the later one
+        efficiency, currents = cli.engine_efficiency, cli.all_currents
+        infinite = {1.2, 3.2}
+
+        def eta(params):
+            return math.inf if params.eps_d in infinite else efficiency(params)
+
+        def nan_at_row_5(gen, ledger, rho):
+            out = currents(gen, ledger, rho)
+            if len(rho) == 9:
+                out["c"][0][5] = math.nan
+            return out
+
+        monkeypatch.setattr("qthermo.cli.engine_efficiency", eta)
+        monkeypatch.setattr("qthermo.cli.all_currents", nan_at_row_5)
+        assert main(["run", engine_config(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: non-finite value inf at row 2, column 4\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSweepFailures:
     """A sweep reports the error of its first failing point in sweep order,
@@ -432,9 +456,42 @@ class TestGoldenBodies:
             "2276abef3396fd6b3a72146d02d37b78cf9e0bc63f7647992fd65f53ddab1e8a",
     }
 
+    # SHA-256 of each config's JSON output from '"columns"' to the end of
+    # the file: the metadata object comes first and is excluded
+    JSON_DIGESTS = {
+        "absorption_switchoff":
+            "c60228e1bced3f9b05b57813da8e00bc8d99a25056d0f4a5240abf7ae7f7c8fe",
+        "double_dot_entanglement":
+            "e95d1074c11c65758d9d18d72dc64b86a05109d80a01798064feec3df8463820",
+        "fcs_biased_dot":
+            "463957ac33ff6457f6d4ade076690e1c67e0f92045ecdf8edad83a95712ec279",
+        "heat_engine_lasso":
+            "e6c3bc9b1d8a03b2c1b84d00ec2981b7a1ed25300cb731c44348b09beb233632",
+        "heat_engine_levels":
+            "9cba460b546bea46073acc6348a463c4b4bb62da299a5d532860b71df8bbda33",
+        "tpm_quench":
+            "98487ebfc89212129f486a0344d0cc5c4f06c6f589e55dd3fac3b1a7cf300f79",
+        "trajectories_ft":
+            "bc6574d8b52e41c353c9776b7ee50bb0736e8290da36190c305d07768bb3c8bc",
+    }
+
+    # a 200-step single-dot time series between two biased leads
+    SINGLE_DOT_SERIES = {
+        "experiment": "single-dot",
+        "seed": 1,
+        "params": {
+            "eps_d": 1.0, "p1_initial": 0.0, "t_max": 10.0, "steps": 200,
+            "reservoirs": {
+                "L": {"temperature": 0.5, "chemical_potential": 0.8,
+                      "coupling": 0.6},
+                "R": {"temperature": 0.5, "chemical_potential": -0.8,
+                      "coupling": 0.4}}}}
+    SINGLE_DOT_DIGEST = \
+        "4b58af6ae9adba482784ba8ed9bafd1983bd6e13b5ff8f4dc5441b51c5ef07b8"
+
     def test_every_config_is_pinned(self):
         assert sorted(p.stem for p in CONFIGS.glob("*.json")) == \
-            sorted(self.DIGESTS)
+            sorted(self.DIGESTS) == sorted(self.JSON_DIGESTS)
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_csv_body_digest(self, tmp_path, name):
@@ -442,6 +499,25 @@ class TestGoldenBodies:
         run(str(CONFIGS / f"{name}.json"), out=str(out), fmt="csv")
         body = "".join(read_body(out))
         assert hashlib.sha256(body.encode()).hexdigest() == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(JSON_DIGESTS))
+    def test_json_body_digest(self, tmp_path, name):
+        out = tmp_path / f"{name}.json"
+        run(str(CONFIGS / f"{name}.json"), out=str(out), fmt="json")
+        text = out.read_text()
+        body = text[text.index('"columns"'):]
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            self.JSON_DIGESTS[name]
+
+    def test_single_dot_series_digest(self, tmp_path):
+        out = tmp_path / "series.csv"
+        path = write_config(tmp_path / "series.json", {
+            **self.SINGLE_DOT_SERIES,
+            "output": {"path": str(out), "format": "csv"}})
+        assert main(["run", path]) == 0
+        body = "".join(read_body(out))
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            self.SINGLE_DOT_DIGEST
 
     @pytest.mark.parametrize("name", sorted(
         n for n in DIGESTS

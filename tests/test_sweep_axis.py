@@ -112,6 +112,26 @@ def test_batch_equals_slices(dim, seed, n_points, chunk):
             assert_bitwise(report.value[i], one.value)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+       n_states=st.integers(1, 6))
+def test_state_stack_equals_states(dim, seed, n_states):
+    # a generator with no sweep axis acting on a (n, d, d) stack of states,
+    # as the single-dot time series evaluates its propagated states
+    [(gen, ledger)], _ = ldb_sweep(dim, seed, 1)
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([qcore.random_density_matrix(dim, rng)
+                     for _ in range(n_states)])
+    currents = all_currents(gen, ledger, rhos)
+    sigma_dot = entropy_production_rate(gen, ledger, rhos)
+    assert gen.batch_shape == ()
+    for i, rho in enumerate(rhos):
+        for tag, (heat, work) in all_currents(gen, ledger, rho).items():
+            assert_bitwise(currents[tag][0][i], heat)
+            assert_bitwise(currents[tag][1][i], work)
+        assert_bitwise(sigma_dot[i], entropy_production_rate(gen, ledger, rho))
+
+
 def engine_points(n):
     cold = ReservoirSpec(0.3, 1.0, "fermionic", 0.01)
     hot = ReservoirSpec(0.8, 0.0, "fermionic", 0.01)

@@ -367,6 +367,22 @@ class TestUnravelPhysics:
         assert not rep.detailed_inconclusive
         assert abs(rep.detailed_slope - (-1.0)) <= 3 * rep.detailed_slope_stderr
 
+    def test_detailed_ft_binned_fallback(self):
+        # max_atoms=0 forces equal-width bins; each bin of this lattice of
+        # Sigma values holds one atom, so both paths fit the same points
+        gen, ledger = single_dot_generator(biased_dot_params())
+        rho = steady_state(gen)
+        fwd = unravel(gen, ledger, np.real(np.diag(rho)), 2.0, 15, 150_000,
+                      record_events=False)
+        bwd = backward_ensemble(gen, ledger, fwd, 16)
+        atoms = ft_estimators(fwd, bwd)
+        binned = ft_estimators(fwd, bwd, max_atoms=0)
+        assert not binned.detailed_inconclusive
+        assert binned.detailed_slope == pytest.approx(atoms.detailed_slope,
+                                                      abs=1e-9)
+        assert abs(binned.detailed_slope - (-1.0)) <= \
+            4 * binned.detailed_slope_stderr
+
     def test_detailed_ft_inconclusive_without_negative_tail(self):
         # long times suppress negative entropy production exponentially
         gen, ledger = single_dot_generator(biased_dot_params(bias=3.0))
