@@ -167,7 +167,8 @@ def _reservoir(cfg, where, statistics="fermionic"):
 # ---------------------------------------------------------------------------
 # Experiments. Each parses the params of one point: it reads every key its
 # tables use, runs every check and builds the objects they compute from. Its
-# tables map a list of parsed points and the seed to (columns, units, rows).
+# tables map a list of parsed points and the seed to (names, units, columns),
+# one sequence of cells per column.
 # ---------------------------------------------------------------------------
 
 def _fermionic(p, tags):
@@ -200,21 +201,16 @@ def _engine_params(p):
 
 def _engine_table(params, seed):
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
-    currents = {tag: (heat.tolist(), work.tolist()) for tag, (heat, work)
-                in all_currents(gen, ledger, steady_state(gen)).items()}
+    currents = all_currents(gen, ledger, steady_state(gen))
     (j_c, p_c), (j_h, p_h) = currents["c"], currents["h"]
-
-    def row(i):
-        eta = engine_efficiency(params[i])
-        if eta is None:
-            raise NumericalFailure("efficiency undefined at eps_d = mu_h")
-        regime = regime_from_currents(
-            {tag: (heat[i], work[i]) for tag, (heat, work) in currents.items()})
-        return [p_c[i] + p_h[i], j_c[i], j_h[i], eta, regime]
-
+    eta = [engine_efficiency(p) for p in params]
+    if None in eta:
+        raise NumericalFailure("efficiency undefined at eps_d = mu_h")
+    regime = [regime_from_currents({"c": (jc, pc), "h": (jh, ph)})
+              for jc, pc, jh, ph in zip(j_c, p_c, j_h, p_h)]
     return (["P", "J_c", "J_h", "eta", "regime"],
             ["kref^2", "kref^2", "kref^2", "1", "-"],
-            [row(i) for i in range(len(params))])
+            [p_c + p_h, j_c, j_h, eta, regime])
 
 
 _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
@@ -230,11 +226,9 @@ def _double_dot_params(p):
 
 def _double_dot_table(params, seed):
     thresholds = [entanglement_heat_threshold(p) for p in params]
-    conc = double_dot_sweep_concurrence(params).tolist()
     return (["concurrence", "J_R", "J_crit", "entangled"],
             ["1", "kref^2", "kref^2", "bool"],
-            [[c, j_r, j_crit, int(entangled)]
-             for c, (j_r, j_crit, entangled) in zip(conc, thresholds)])
+            [double_dot_sweep_concurrence(params), *zip(*thresholds)])
 
 
 _FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
@@ -263,9 +257,8 @@ def _fridge_params(p):
 def _fridge_table(points, seed):
     return (["I", "J_c", "J_h", "J_r", "theta", "cooling"],
             ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"],
-            [[amp, j_c, j_h, j_r, theta, int(cooling)]
-             for amp, j_c, j_h, j_r, theta, cooling in
-             fridge_sweep_observables([params for params, _, _ in points])])
+            list(zip(*fridge_sweep_observables(
+                [params for params, _, _ in points]))))
 
 
 def _fridge_transient_table(points, seed):
@@ -282,14 +275,13 @@ def _fridge_transient_table(points, seed):
     n_off = max(2, steps - n_on)
     times_off, occ_off, theta_off = fridge_coherent_transient(
         off, horizon - t_min, n_off, rho0=rho_at_min)
-    rows = []
-    for t, occ, theta in zip(times_on, occ_on, theta_on):
-        rows.append([t, occ, theta, 1])
-    for t, occ, theta in zip(times_off[1:], occ_off[1:], theta_off[1:]):
-        rows.append([t_min + t, occ, theta, 0])
-    cols = ["t", "occupation", "theta", "refrigerator_on"]
-    units = ["1/kref", "1", "kref", "bool"]
-    return cols, units, rows
+    # the off segment starts where the on segment ends, at t_min
+    return (["t", "occupation", "theta", "refrigerator_on"],
+            ["1/kref", "1", "kref", "bool"],
+            [np.concatenate([times_on, t_min + times_off[1:]]),
+             np.concatenate([occ_on, occ_off[1:]]),
+             np.concatenate([theta_on, theta_off[1:]]),
+             np.repeat([1, 0], [n_on, n_off - 1])])
 
 
 _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}
@@ -318,23 +310,16 @@ def _single_dot_table(points, seed):
     [(params, p1, t_max, steps)] = points
     gen, ledger = single_dot_generator(params)
     tags = sorted(params.reservoirs)
-    rows = []
-    for t in np.linspace(0.0, t_max, steps):
-        rho = propagate(gen, np.diag([1.0 - p1, p1]).astype(complex), t)
-        cur = all_currents(gen, ledger, rho)
-        row = [t, float(rho[1, 1].real)]
-        for tag in tags:
-            row.extend(cur[tag])
-        row.append(entropy_production_rate(gen, ledger, rho))
-        rows.append(row)
-    cols = ["t", "p1"]
-    units = ["1/kref", "1"]
-    for tag in tags:
-        cols.extend([f"J_{tag}", f"P_{tag}"])
-        units.extend(["kref^2", "kref^2"])
-    cols.append("sigma_dot")
-    units.append("kB*kref")
-    return cols, units, rows
+    times = np.linspace(0.0, t_max, steps)
+    rho0 = np.diag([1.0 - p1, p1]).astype(complex)
+    rho = np.stack([propagate(gen, rho0, t) for t in times])
+    currents = all_currents(gen, ledger, rho)
+    return (["t", "p1", *(f"{q}_{tag}" for tag in tags for q in "JP"),
+             "sigma_dot"],
+            ["1/kref", "1", *["kref^2", "kref^2"] * len(tags), "kB*kref"],
+            [times, rho[:, 1, 1].real,
+             *(c for tag in tags for c in currents[tag]),
+             entropy_production_rate(gen, ledger, rho)])
 
 
 _FCS_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R"}
@@ -347,23 +332,18 @@ def _fcs_params(p):
 def _fcs_table(params, seed):
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     cfg = CountingConfig.particle(gen, "R")
-    reports = cumulants(gen, cfg, cfg.fields[0].name, max_order=4)
-    c = [r.value.tolist() for r in reports]
-    sigma_dot = entropy_production_rate(gen, ledger,
-                                        steady_state(gen)).tolist()
-
-    def row(i):
-        c1, c2, c3, c4 = (c_m[i] for c_m in c)
-        audit = tur_audit(c1, c2, sigma_dot[i])
-        satisfied = -1 if audit.satisfied is None else int(audit.satisfied)
-        return [c1, c2, c3, c4, c2 / c1, sigma_dot[i],
-                audit.ratio, audit.bound, satisfied]
-
+    c1, c2, c3, c4 = (r.value for r in
+                      cumulants(gen, cfg, cfg.fields[0].name, max_order=4))
+    sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
+    audits = [tur_audit(*point) for point in
+              zip(c1.tolist(), c2.tolist(), sigma_dot.tolist())]
     return (["c1", "c2", "c3", "c4", "fano", "sigma_dot", "tur_ratio",
              "tur_bound", "tur_satisfied"],
             ["kref", "kref", "kref", "kref", "1", "kB*kref", "1/kref",
              "1/kref", "bool"],
-            [row(i) for i in range(len(params))])
+            [c1, c2, c3, c4, c2 / c1, sigma_dot,
+             [a.ratio for a in audits], [a.bound for a in audits],
+             [-1 if a.satisfied is None else a.satisfied for a in audits]])
 
 
 _TPM_KEYS = {"eps0", "angle", "beta", "tau", "n_samples"}
@@ -391,17 +371,13 @@ def _tpm_table(points, seed):
     bwd = tpm_distribution(backward_protocol(protocol))
     dim = fwd.p_initial.size
     samples = tpm_sample(protocol, seed, n_samples)
-    counts = np.bincount(samples.initial * dim + samples.final,
-                         minlength=dim * dim).reshape(dim, dim)
-    rows = []
-    for n in range(dim):
-        for m in range(dim):
-            rows.append([n, m, float(fwd.work[n, m]),
-                         float(fwd.joint[n, m]), float(bwd.joint[m, n]),
-                         int(counts[n, m])])
-    cols = ["n", "m", "work", "p_forward", "p_backward", "count_sampled"]
-    units = ["-", "-", "kref", "1", "1", "-"]
-    return cols, units, rows
+    # one row per (n, m), n major
+    return (["n", "m", "work", "p_forward", "p_backward", "count_sampled"],
+            ["-", "-", "kref", "1", "1", "-"],
+            [*np.divmod(np.arange(dim * dim), dim), fwd.work.ravel(),
+             fwd.joint.ravel(), bwd.joint.T.ravel(),
+             np.bincount(samples.initial * dim + samples.final,
+                         minlength=dim * dim)])
 
 
 _TRAJ_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
@@ -428,20 +404,19 @@ def _trajectory_table(points, seed):
     fwd = unravel(gen, ledger, p0, tau, seed, n_traj, record_events=False)
     bwd = backward_ensemble(gen, ledger, fwd, seed + 1)
     report = ft_estimators(fwd, bwd)
-    rows = [["ift_estimate", report.integral_estimate,
-             report.integral_stderr],
-            ["negative_sigma_fraction", report.negative_fraction, 0.0],
-            ["mean_sigma", float(fwd.entropy_production.mean()),
-             float(fwd.entropy_production.std(ddof=1) / math.sqrt(n_traj))]]
-    for tag in sorted(fwd.heat):
-        rows.append([f"mean_Q_{tag}", float(fwd.heat[tag].mean()),
-                     float(fwd.heat[tag].std(ddof=1) / math.sqrt(n_traj))])
+    means = {"mean_sigma": fwd.entropy_production,
+             **{f"mean_Q_{tag}": fwd.heat[tag] for tag in sorted(fwd.heat)}}
+    quantity = ["ift_estimate", "negative_sigma_fraction", *means]
+    value = [report.integral_estimate, report.negative_fraction,
+             *(x.mean() for x in means.values())]
+    stderr = [report.integral_stderr, 0.0,
+              *(x.std(ddof=1) / math.sqrt(n_traj) for x in means.values())]
     if not report.detailed_inconclusive:
-        rows.append(["detailed_slope", report.detailed_slope,
-                     report.detailed_slope_stderr])
-    cols = ["quantity", "value", "stderr"]
-    units = ["-", "mixed", "mixed"]
-    return cols, units, rows
+        quantity.append("detailed_slope")
+        value.append(report.detailed_slope)
+        stderr.append(report.detailed_slope_stderr)
+    return (["quantity", "value", "stderr"], ["-", "mixed", "mixed"],
+            [quantity, value, stderr])
 
 
 # name: (parse the params of one point, table at one point, table of a
@@ -468,17 +443,17 @@ def _points(cfg):
 
 
 def _table(cfg):
-    """(columns, units, rows) of the config's experiment; a sweep runs as
+    """(names, units, columns) of the config's experiment; a sweep runs as
     one batch and prepends the swept param as a column."""
     parse, table, sweep_table = EXPERIMENTS[cfg["experiment"]]
     points, sweep, seed = _points(cfg), cfg["sweep"], cfg["seed"]
     if sweep is None:
         return table([parse(points[0])], seed)
-    cols, units, rows = _first_failure(
+    names, units, columns = _first_failure(
         lambda batch: sweep_table([parse(p) for p in batch], seed), points)
     name = sweep["name"]
-    return ([name] + cols, ["param"] + units,
-            [[point[name]] + row for point, row in zip(points, rows)])
+    return ([name, *names], ["param", *units],
+            [[point[name] for point in points], *columns])
 
 
 def _first_failure(table_fn, points):
@@ -501,26 +476,30 @@ def _first_failure(table_fn, points):
 # Output
 # ---------------------------------------------------------------------------
 
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
-    return str(value)
+def _cells(names, units, columns):
+    """Each column as a list of int (bools included), finite float or str
+    cells, for CSV and JSON alike.
 
-
-def _check_table(cols, rows):
-    for i, row in enumerate(rows):
-        if len(row) != len(cols):
-            raise NumericalFailure(
-                f"row {i} has {len(row)} cells, expected {len(cols)}")
-        for j, value in enumerate(row):
-            if isinstance(value, (float, np.floating, int, np.integer)) \
-                    and not math.isfinite(float(value)):
-                raise NumericalFailure(
-                    f"non-finite value {value!r} at row {i}, column {j}")
+    Columns that do not match the names and units one to one, differ in
+    length or hold other cells raise ``NumericalFailure``, as does a
+    non-finite float: the first in row-major order is named.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    if len(arrays) != len(names) or len(units) != len(names) or any(
+            a.ndim != 1 or a.shape != arrays[0].shape
+            or a.dtype.kind not in "biufU" for a in arrays):
+        raise NumericalFailure(
+            f"a table of {len(names)} names and {len(units)} units has "
+            f"columns {[(a.dtype.str, a.shape) for a in arrays]}")
+    finite = {j: np.isfinite(a) for j, a in enumerate(arrays)
+              if a.dtype.kind == "f"}
+    bad = [(int(np.argmin(ok)), j) for j, ok in finite.items() if not ok.all()]
+    if bad:
+        i, j = min(bad)
+        raise NumericalFailure(f"non-finite value {arrays[j][i].item()!r} "
+                               f"at row {i}, column {j}")
+    return [(a.astype(int) if a.dtype.kind == "b" else a).tolist()
+            for a in arrays]
 
 
 def _atomic_write(path, text):
@@ -536,18 +515,18 @@ def _atomic_write(path, text):
         raise
 
 
-def write_table(path, fmt, cols, units, rows, metadata):
+def write_table(path, fmt, names, units, columns, metadata):
+    """Write the cells of ``_cells`` as CSV, floats as ``.16e``, or JSON."""
+    rows = zip(*columns)
     if fmt == "csv":
         lines = [f"# {key}: {value}" for key, value in metadata.items()]
-        lines.append(",".join(f"{c}[{u}]" for c, u in zip(cols, units)))
-        for row in rows:
-            lines.append(",".join(_format_cell(v) for v in row))
+        lines.append(",".join(f"{c}[{u}]" for c, u in zip(names, units)))
+        lines.extend(",".join(f"{v:.16e}" if isinstance(v, float) else str(v)
+                              for v in row) for row in rows)
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
-        payload = {"metadata": metadata, "columns": cols, "units": units,
-                   "rows": [[(_format_cell(v) if isinstance(v, str) else
-                              (int(v) if isinstance(v, (int, np.integer))
-                               else float(v))) for v in row] for row in rows]}
+        payload = {"metadata": metadata, "columns": names, "units": units,
+                   "rows": [list(row) for row in rows]}
         _atomic_write(path, json.dumps(payload, indent=1) + "\n")
 
 
@@ -562,8 +541,8 @@ def run(config_path, seed=None, out=None, fmt=None):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         cfg["output"]["format"] = fmt
     t0 = time.perf_counter()
-    cols, units, rows = _table(cfg)
-    _check_table(cols, rows)
+    names, units, columns = _table(cfg)
+    columns = _cells(names, units, columns)
     metadata = {
         "qthermo_version": __version__,
         "config_dialect": CONFIG_DIALECT,
@@ -573,8 +552,8 @@ def run(config_path, seed=None, out=None, fmt=None):
         "seed": cfg["seed"],
         "wall_time_s": f"{time.perf_counter() - t0:.3f}",
     }
-    write_table(cfg["output"]["path"], cfg["output"]["format"], cols, units,
-                rows, metadata)
+    write_table(cfg["output"]["path"], cfg["output"]["format"], names, units,
+                columns, metadata)
     return cfg["output"]["path"]
 
 

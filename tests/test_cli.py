@@ -253,6 +253,25 @@ class TestHeatEngineRuns:
             "numerical failure: non-finite value inf at row 2, column 4\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("columns", [
+        [[1.0, 2.0], [3.0]],              # unequal lengths
+        [[1.0, 2.0]],                     # fewer columns than names
+        [[1.0], [2.0], [3.0]],            # more columns than names
+        [[1.0, 2.0], [[3.0], [4.0]]],     # a column that is not 1-D
+        [[1.0, 2.0], [None, 4.0]],        # a cell of no table type
+    ])
+    def test_malformed_table_is_numerical_failure(self, tmp_path, capsys,
+                                                  monkeypatch, columns):
+        def table(points, seed):
+            return ["a", "b"], ["1", "1"], columns
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "heat-engine",
+                            (cli._engine_params, table, table))
+        assert main(["run", engine_config(tmp_path, sweep=None)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: a table of 2 names and 2 units has columns ")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSweepFailures:
     """A sweep reports the error of its first failing point in sweep order,
