@@ -5,6 +5,10 @@ trajectory computations, and writes machine-readable result tables
 (CSV or JSON) atomically. Exit codes: 0 success, 2 config error,
 3 numerical failure (any non-finite value aborts).
 
+A table is built as columns. One step turns every cell into an int
+(bools become 0 and 1), a finite float or a str, for both formats: CSV
+writes floats as ``.16e``, JSON as they are.
+
 Config dialect: JSON, schema "json/1"; unknown keys are rejected at
 every nesting level. Each experiment has one parse step that reads and
 checks every params key of one point; ``run`` and ``validate`` both use
@@ -15,7 +19,8 @@ along a leading sweep axis (see ``qthermo.lindblad``): each stage acts on
 all points at once, and the table has one row per point, in sweep order.
 When the batch fails, its points run again one at a time, in sweep order,
 and the first that fails reports its own error, the one a point-by-point
-run would have stopped at.
+run would have stopped at. An absorption transient's ``t_max`` must
+exceed the first temperature minimum t_min, which only ``run`` computes.
 """
 
 import argparse
@@ -266,6 +271,9 @@ def _fridge_transient_table(points, seed):
     # switch off there, keep recording
     [(params, t_max, steps)] = points
     t_min, _, _ = fridge_switchoff_protocol(params)
+    if t_max is not None and t_max <= t_min:
+        raise ConfigError(f"params.t_max = {t_max} must exceed the first "
+                          f"temperature minimum t_min = {t_min}")
     horizon = t_max if t_max is not None else 3.0 * t_min
     n_on = max(2, int(steps * t_min / horizon) + 1)
     times_on, occ_on, theta_on = fridge_coherent_transient(params, t_min, n_on)

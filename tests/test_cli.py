@@ -385,6 +385,25 @@ class TestOtherExperiments:
         # the switched-off tail stays below the starting temperature
         assert theta[on == 0].max() < theta[0]
 
+    @pytest.mark.parametrize("t_max", [1.0, 32.0])
+    def test_absorption_horizon_before_minimum(self, tmp_path, capsys, t_max):
+        # the first temperature minimum of these params lies at t ~ 32.85;
+        # validate cannot know it without running the protocol
+        params = json.loads(
+            (CONFIGS / "absorption_switchoff.json").read_text())["params"]
+        path = write_config(tmp_path / "abs.json", {
+            "experiment": "absorption",
+            "params": {**params, "steps": 40, "t_max": t_max},
+            "output": {"path": str(tmp_path / "abs.csv"), "format": "csv"}})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: params.t_max = {t_max} must "
+                              "exceed the first temperature minimum t_min = ")
+        assert float(err.split("t_min = ")[1]) == pytest.approx(32.85,
+                                                                abs=0.01)
+        assert not (tmp_path / "abs.csv").exists()
+        assert main(["validate", path]) == 0
+
     def test_absorption_steady_sweep(self, tmp_path):
         path = write_config(tmp_path / "abs2.json", {
             "experiment": "absorption",
