@@ -92,7 +92,8 @@ def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
     """Tilted Liouvillian with jump terms multiplied by e^{i sum chi_f w_f}.
 
     Anticommutator and Hamiltonian parts are untouched; with every field
-    zero the result is bitwise-equal to ``build_liouvillian(gen)``.
+    zero the result is bitwise-equal to ``build_liouvillian(gen)``. On a
+    sweep axis the result has the batch shape in front.
     """
     unknown = set(values) - {f.name for f in cfg.fields}
     if unknown:
@@ -103,14 +104,16 @@ def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
         if chi != 0.0:
             phases = phases + chi * np.asarray(f.weights)
     tilted = build_liouvillian(gen)
-    for k, (ch, jump) in enumerate(zip(gen.channels, gen._jump_superops)):
-        if phases[k] != 0.0:
-            factor = cmath.exp(1j * phases[k]) - 1.0
-            tilted = tilted + ch.rate * factor * jump
+    rates, jumps = gen._stack.rates, gen._jump_superops
+    for k, phase in enumerate(phases):
+        if phase != 0.0:
+            factor = cmath.exp(1j * phase) - 1.0
+            tilted = tilted + (rates[..., k, None, None] * factor
+                               * jumps[..., k, :, :])
     return tilted
 
 
-def cgf(gen, cfg, values, t, rho0, n_steps=None):
+def cgf(gen, cfg, values, t, rho0):
     """Finite-time cumulant generating function ln Tr{e^{L(chi) t} rho0}.
 
     The complex log is accumulated stepwise along the evolution (with
@@ -125,10 +128,9 @@ def cgf(gen, cfg, values, t, rho0, n_steps=None):
     if t == 0 or all(complex(v) == 0 for v in values.values()):
         return 0.0 + 0.0j
     tilted = counting_liouvillian(gen, cfg, values)
-    if n_steps is None:
-        # keep the per-step phase advance well below pi; the Frobenius
-        # norm upper-bounds the spectral radius and is cheap
-        n_steps = max(8, int(math.ceil(np.linalg.norm(tilted) * t)))
+    # keep the per-step phase advance well below pi; the Frobenius norm
+    # upper-bounds the spectral radius and is cheap
+    n_steps = max(8, int(math.ceil(np.linalg.norm(tilted) * t)))
     step = expm_dense(tilted, t / n_steps)
     vec = vectorize(np.asarray(rho0, dtype=complex))
     tr_vec = vectorize(np.eye(gen.dim)).conj()
@@ -177,9 +179,11 @@ def dominant_eigenvalue_path(gen, cfg, name, chis):
     return out
 
 
-# A spectral gap below this at chi = 0 means the kernel of L0 is not
-# one-dimensional, so the dominant eigenvalue has no unique expansion.
-_GAP_FLOOR = 1e-12
+# A spectral gap below TOL_GAP, or a dominant eigenvalue of modulus above
+# TOL_NU_ZERO, at chi = 0 means the kernel of L0 is not one-dimensional,
+# so the dominant eigenvalue has no unique expansion.
+TOL_GAP = 1e-12
+TOL_NU_ZERO = 1e-8
 
 
 @dataclass(frozen=True)
@@ -207,8 +211,8 @@ def cumulants(gen, cfg, name, max_order=4):
     fixes the trace and whose last column absorbs the trace of the
     right-hand side, i.e. applies Q = 1 - |rho_ss>><<1|. The matrix is
     nonsingular exactly when the kernel of L0 is one-dimensional; a
-    spectral gap below ``_GAP_FLOOR`` (or a nonzero dominant eigenvalue)
-    at chi = 0 raises :class:`CountingError`.
+    spectral gap below ``TOL_GAP`` (or |nu| above ``TOL_NU_ZERO``) at
+    chi = 0 raises :class:`CountingError`.
 
     On a sweep axis (see ``lindblad``) the eigen-decomposition, the LU
     factorisation and the solves are stacked, each point keeping its
@@ -227,7 +231,7 @@ def _cumulants(gen, weights, max_order):
     values, vectors = eig_general(bare)
     nu, gap = values[..., 0], -values[..., 1].real
     raise_first_failure([(
-        (np.abs(nu) > 1e-8) | (gap < _GAP_FLOOR),
+        (np.abs(nu) > TOL_NU_ZERO) | (gap < TOL_GAP),
         lambda i: CountingError(
             f"dominant eigenvalue not unique/zero at chi = 0 "
             f"(nu = {nu.flat[i]:.2e}, gap = {gap.flat[i]:.2e})"))])

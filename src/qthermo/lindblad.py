@@ -52,10 +52,10 @@ from typing import Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .qcore import (KB, TOL_HERM, commutator_superop, dagger, dissipate,
-                    dissipator_apply, dissipator_superop, expm_dense,
-                    hermitize, is_hermitian, kron, raise_first_failure,
-                    unvectorize, vectorize)
+from .qcore import (KB, TOL_COMMUTE, TOL_HERM, TOL_PSD_STEADY,
+                    commutator_superop, dagger, dissipate, dissipator_apply,
+                    dissipator_superop, expm_dense, hermitize, is_hermitian,
+                    kron, raise_first_failure, unvectorize, vectorize)
 from .thermo import ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient
@@ -67,6 +67,16 @@ ENTROPY_EIG_FLOOR = 1e-30
 # jump superoperators, the solver's copies and factors): about 10^5 points
 # at d = 2, and one point (a chunk's minimum) at d = 32.
 BATCH_BYTES = 2 ** 28
+
+# Ladder identities [L, H_TD] = omega L, [L, N_S] = n L, relative to
+# max(max|L|, 1).
+TOL_LADDER = 1e-9
+# Kernel dimension: singular values of L at or below TOL_KERNEL * ||L||_2.
+TOL_KERNEL = 1e-10
+# A null vector with |Tr| below this has no normalizable steady state.
+TOL_TRACELESS = 1e-12
+# Local detailed balance: |gamma_out/gamma_in - e^x| relative to e^x.
+TOL_LDB = 1e-8
 
 
 class MultistabilityError(RuntimeError):
@@ -147,8 +157,8 @@ class GKLSGenerator:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if not is_hermitian(h, TOL_HERM):
-            raise ValueError("Hamiltonian must be Hermitian within 1e-10")
+        if not is_hermitian(h):
+            raise ValueError(f"Hamiltonian not Hermitian within {TOL_HERM}")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", tuple(self.channels))
         for ch in self.channels:
@@ -241,8 +251,8 @@ class ThermoLedger:
         h = np.asarray(self.h_td, dtype=complex)
         n = np.asarray(self.n_s, dtype=complex)
         comm = h @ n - n @ h
-        if np.abs(comm).max() > 1e-9:
-            raise LedgerError("[H_TD, N_S] != 0 within 1e-9")
+        if np.abs(comm).max() > TOL_COMMUTE:
+            raise LedgerError(f"[H_TD, N_S] != 0 within {TOL_COMMUTE}")
         object.__setattr__(self, "h_td", h)
         object.__setattr__(self, "n_s", n)
         object.__setattr__(self, "reservoirs", dict(self.reservoirs))
@@ -261,11 +271,11 @@ def in_chunks(solve, gen, *args):
                            for start in range(0, batch[0], rows)])
 
 
-def validate_ledger(gen, ledger, tol=1e-9):
+def validate_ledger(gen, ledger):
     """Check the ladder identities of every channel against the ledger.
 
-    [L, H_TD] = omega L and [L, N_S] = n L within ``tol * max(max|L|, 1)``,
-    each channel against its own scale; the ledger must act on the
+    [L, H_TD] = omega L and [L, N_S] = n L within TOL_LADDER * max(max|L|,
+    1), each channel against its own scale; the ledger must act on the
     generator's space and have a reservoir entry for every channel's tag.
     The residuals of all channels and points are formed at once; the
     first failing point raises, at its first failing channel in channel
@@ -285,7 +295,7 @@ def validate_ledger(gen, ledger, tol=1e-9):
                      - stack.energy_quanta[..., None, None] * ops)
     err_n = _max_abs(ops @ n_s - n_s @ ops
                      - stack.particle_quanta[..., None, None] * ops)
-    bound = tol * np.maximum(_max_abs(ops), 1.0)
+    bound = TOL_LADDER * np.maximum(_max_abs(ops), 1.0)
     missing = np.array([ch.reservoir not in ledger.reservoirs
                         for ch in gen.channels])
     err_h, err_n, bound, omega = (
@@ -349,27 +359,27 @@ def propagate(gen, rho0, t):
     return hermitize(rho_t)
 
 
-def steady_state(gen, kernel_tol=1e-10):
+def steady_state(gen):
     """Unique steady state from the null space of the Liouvillian.
 
-    The kernel dimension is detected via singular values below
-    ``kernel_tol * ||L||``; a degenerate kernel raises
+    The kernel dimension is detected via singular values at or below
+    ``TOL_KERNEL * ||L||``; a degenerate kernel raises
     :class:`MultistabilityError`. The result is trace-normalized and
     hermitized. Over a sweep axis one stacked SVD and one stacked
     ``eigvalsh`` serve every point of a chunk, and each point is checked
     on its own; the first failing point raises.
     """
-    return in_chunks(_steady_state, gen, kernel_tol)
+    return in_chunks(_steady_state, gen)
 
 
-def _steady_state(gen, kernel_tol):
+def _steady_state(gen):
     liou = build_liouvillian(gen)
     _, svals, vh = np.linalg.svd(liou)
     scale = np.where(svals[..., 0] > 0, svals[..., 0], 1.0)
-    n_null = np.sum(svals <= kernel_tol * scale[..., None], axis=-1)
+    n_null = np.sum(svals <= TOL_KERNEL * scale[..., None], axis=-1)
     rho = hermitize(unvectorize(vh[..., -1, :].conj()))
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    traceless = np.abs(tr) < 1e-12
+    traceless = np.abs(tr) < TOL_TRACELESS
     # a traceless point has failed; dividing it by 1 keeps it finite, so
     # that eigvalsh still serves the other points
     rho = rho / np.where(traceless, 1.0, tr)[..., None, None]
@@ -377,15 +387,15 @@ def _steady_state(gen, kernel_tol):
     raise_first_failure([
         (n_null == 0, lambda i: MultistabilityError(
             "no Liouvillian null vector found within "
-            f"tolerance {kernel_tol:.1e}*||L||")),
+            f"tolerance {TOL_KERNEL:.1e}*||L||")),
         (n_null > 1, lambda i: MultistabilityError(
             f"Liouvillian kernel is {n_null.flat[i]}-dimensional; steady "
             "state is not unique (multistability)")),
         (traceless, lambda i: MultistabilityError(
             "null vector is traceless; no normalizable steady state")),
-        (min_eval < -1e-8, lambda i: MultistabilityError(
-            "steady-state candidate not PSD "
-            f"(min eigenvalue {min_eval.flat[i]:.2e})")),
+        (min_eval < -TOL_PSD_STEADY, lambda i: MultistabilityError(
+            "steady-state candidate not PSD (min eigenvalue "
+            f"{min_eval.flat[i]:.2e} < -{TOL_PSD_STEADY:.0e})")),
     ])
     return rho
 
@@ -472,12 +482,12 @@ def entropy_production_rate(gen, ledger, rho):
     return sdot
 
 
-def local_detailed_balance_check(channel_in, channel_out, res, rel_tol=1e-8):
+def local_detailed_balance_check(channel_in, channel_out, res):
     """True iff gamma_out/gamma_in = e^{beta(omega - mu n)} of the out channel.
 
     ``channel_out`` is the emission channel (quanta (omega, n) leave the
-    system), ``channel_in`` its absorption partner with quanta
-    (-omega, -n). Returns None (indeterminate) if either rate is zero.
+    system), ``channel_in`` its absorption partner (-omega, -n); relative
+    tolerance TOL_LDB. Returns None (indeterminate) if either rate is zero.
     """
     if (channel_in.energy_quantum != -channel_out.energy_quantum
             or channel_in.particle_quantum != -channel_out.particle_quantum):
@@ -490,4 +500,4 @@ def local_detailed_balance_check(channel_in, channel_out, res, rel_tol=1e-8):
         return None  # ratio overflows double precision: indeterminate
     expected = math.exp(exponent)
     ratio = channel_out.rate / channel_in.rate
-    return abs(ratio - expected) <= rel_tol * expected
+    return abs(ratio - expected) <= TOL_LDB * expected

@@ -31,6 +31,11 @@ SIGMA_R = kron(IDENT2, kron(IDENT2, LOWER))
 _NUM = {tag: dagger(op) @ op for tag, op in
         (("c", SIGMA_C), ("h", SIGMA_H), ("r", SIGMA_R))}
 
+# Bookkeeping against structural currents, relative to max(|I| eps_r, 1).
+TOL_CURRENT_CONSISTENCY = 1e-9
+# Bracket width of the golden-section search for t_min, in units of 1/g.
+T_MIN_WIDTH = 1e-10
+
 
 @dataclass(frozen=True)
 class FridgeParams:
@@ -143,18 +148,18 @@ def cooling_window_boundary(params):
     return t_c * (t_h - t_r) / (t_h * (t_r - t_c))
 
 
-def fridge_observables(params, consistency_tol=1e-9):
+def fridge_observables(params):
     """(I, J_c, J_h, J_r, theta, cooling?) at the steady state.
 
     The currents are evaluated twice, from the generic ledger bookkeeping
     and from the structural identities (-eps_c I, -eps_h I, +eps_r I);
-    disagreement beyond ``consistency_tol`` (scaled) raises. theta is the
+    disagreement beyond TOL_CURRENT_CONSISTENCY (scaled) raises. theta is the
     effective temperature of the cold qubit.
     """
-    return fridge_sweep_observables([params], consistency_tol)[0]
+    return fridge_sweep_observables([params])[0]
 
 
-def fridge_sweep_observables(sweep, consistency_tol=1e-9):
+def fridge_sweep_observables(sweep):
     """:func:`fridge_observables` at each point of a sequence of params.
 
     One stacked steady state and one stacked current evaluation serve all
@@ -172,9 +177,9 @@ def fridge_sweep_observables(sweep, consistency_tol=1e-9):
         params, amp = sweep[i], amps[i]
         structural = {"c": -params.eps_c * amp, "h": -params.eps_h * amp,
                       "r": params.eps_r * amp}
-        scale = max(abs(amp) * params.eps_r, 1.0)
+        bound = TOL_CURRENT_CONSISTENCY * max(abs(amp) * params.eps_r, 1.0)
         for tag in ("c", "h", "r"):
-            if abs(currents[tag][i] - structural[tag]) > consistency_tol * scale:
+            if abs(currents[tag][i] - structural[tag]) > bound:
                 raise RuntimeError(
                     f"bookkeeping J_{tag} = {currents[tag][i]} disagrees with "
                     f"structural value {structural[tag]}")
@@ -251,7 +256,7 @@ def _golden_section_min(f, lo, hi, tol):
 def fridge_switchoff_protocol(params, horizon_periods=3.0):
     """Locate the first transient minimum of the cold-qubit temperature.
 
-    Coarse scan at step 0.01/g followed by golden-section refinement.
+    Coarse scan at step 0.01/g, golden-section refinement to T_MIN_WIDTH/g.
     Returns (t_min, theta_min, theta_ss). Raises RuntimeError when no
     interior minimum exists within ``horizon_periods`` exchange periods
     (e.g. when delta_n <= 0 and the occupation never dips).
@@ -277,7 +282,7 @@ def fridge_switchoff_protocol(params, horizon_periods=3.0):
         raise RuntimeError("no occupation minimum found within the horizon")
     t_min, occ_min = _golden_section_min(
         occupation_at, times[interior - 1], times[interior + 1],
-        tol=1e-10 / params.g)
+        T_MIN_WIDTH / params.g)
     theta_min = effective_temperature(occ_min, params.eps_c)
     occ_ss = float(np.trace(_NUM["c"] @ steady_state(gen)).real)
     theta_ss = effective_temperature(occ_ss, params.eps_c)

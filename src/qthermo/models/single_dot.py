@@ -16,6 +16,8 @@ from ..thermo import ReservoirSpec, fermi_dirac
 from .common import LOWER, NUMBER, RAISE, warn_margin
 
 BORN_MARKOV_MARGIN = 0.1
+# Bracket width at which the stopping-voltage bisection stops.
+STOPPING_VOLTAGE_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,8 @@ def engine_steady_power(params):
 
 
 def engine_efficiency(params):
-    """eta = (mu_c - mu_h)/(eps_d - mu_h); None when undefined (mu_c = mu_h)."""
+    """eta = (mu_c - mu_h)/(eps_d - mu_h); None at eps_d = mu_h (undefined),
+    0.0 at mu_c = mu_h."""
     cold, hot = _engine_reservoirs(params)
     num = cold.chemical_potential - hot.chemical_potential
     den = params.eps_d - hot.chemical_potential
@@ -152,13 +155,13 @@ def regime_from_currents(currents):
     return "dual_dissipation"
 
 
-def stopping_voltage(params, width_tol=1e-13):
+def stopping_voltage(params):
     """mu_c at which the steady power vanishes (n_F^h = n_F^c), by bisection.
 
     Searches mu_c in (mu_h, eps_d); the bracket is where the engine lasso
-    lives for eps_d > mu_c > mu_h. The interval is narrowed to width_tol
-    so the residual power at the root is far below 1e-12 in reference
-    units.
+    lives for eps_d > mu_c > mu_h. The interval is narrowed to
+    STOPPING_VOLTAGE_WIDTH, so the residual power at the root is far below
+    1e-12 in reference units.
     """
     cold, hot = _engine_reservoirs(params)
 
@@ -179,7 +182,7 @@ def stopping_voltage(params, width_tol=1e-13):
     if f_lo * f_hi > 0:
         raise ValueError("power does not change sign in (mu_h, eps_d); "
                          "no stopping voltage in bracket")
-    while hi - lo > width_tol:
+    while hi - lo > STOPPING_VOLTAGE_WIDTH:
         mid = 0.5 * (lo + hi)
         f_mid = p_of(mid)
         if f_mid == 0.0:

@@ -27,11 +27,15 @@ import scipy.linalg
 # numerical value is 1, but it is written out wherever it belongs.
 KB = 1.0
 
-# Centralized numerical tolerances.
-TOL_TRACE = 1e-10
-TOL_HERM = 1e-10
-TOL_PSD = 1e-9
-TOL_EIG_RESIDUAL = 1e-8
+# Numerical contracts shared by several modules. The PSD floor has two
+# values: TOL_PSD for states a caller hands in, TOL_PSD_STEADY for the
+# steady-state candidate read off a Liouvillian null vector.
+TOL_TRACE = 1e-10         # |Tr rho - 1|; |sum p - 1| of populations
+TOL_HERM = 1e-10          # max|M - M†|
+TOL_PSD = 1e-9            # smallest eigenvalue >= -TOL_PSD
+TOL_PSD_STEADY = 1e-8     # smallest eigenvalue >= -TOL_PSD_STEADY
+TOL_EIG_RESIDUAL = 1e-8   # max_j |M v_j - v_j nu_j| <= TOL * ||M||
+TOL_COMMUTE = 1e-9        # max|[H, N]| of Hamiltonian and number operator
 
 
 class EigenvalueError(RuntimeError):
@@ -61,10 +65,10 @@ def dagger(m):
     return np.asarray(m).swapaxes(-1, -2).conj()
 
 
-def is_hermitian(m, tol=TOL_HERM):
-    """max|M - M†| <= tol."""
+def is_hermitian(m):
+    """max|M - M†| <= TOL_HERM."""
     m = np.asarray(m)
-    return float(np.abs(m - dagger(m)).max()) <= tol
+    return float(np.abs(m - dagger(m)).max()) <= TOL_HERM
 
 
 def hermitize(m):
@@ -72,24 +76,23 @@ def hermitize(m):
     return (m + dagger(m)) / 2
 
 
-def check_density_matrix(rho, tol_trace=TOL_TRACE, tol_herm=TOL_HERM,
-                         tol_psd=TOL_PSD):
+def check_density_matrix(rho):
     """Validate the density-matrix invariants, raising ValueError on failure.
 
-    Checks unit trace, Hermiticity, and positive semi-definiteness up to
-    numerical dust (eigenvalues >= -tol_psd).
+    Checks unit trace (TOL_TRACE), Hermiticity (TOL_HERM), and positive
+    semi-definiteness up to numerical dust (eigenvalues >= -TOL_PSD).
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {tol_trace}")
-    if not is_hermitian(rho, tol_herm):
-        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {TOL_TRACE}")
+    if not is_hermitian(rho):
+        raise ValueError(f"density matrix is not Hermitian within {TOL_HERM}")
     evals = np.linalg.eigvalsh(hermitize(rho))
-    if evals.min() < -tol_psd:
-        raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{tol_psd}")
+    if evals.min() < -TOL_PSD:
+        raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{TOL_PSD}")
     return rho
 
 
@@ -214,13 +217,13 @@ def trace_vector(dim):
     return vectorize(np.eye(dim)).conj()
 
 
-def eig_general(m, tol_residual=TOL_EIG_RESIDUAL):
+def eig_general(m):
     """Eigenvalues and right eigenvectors of a general complex matrix.
 
     Returns ``(values, vectors)`` sorted by descending real part of the
     eigenvalue; ``vectors[..., :, j]`` belongs to ``values[..., j]``. The
     residual ``max_j |M v_j - v_j nu_j|`` of each matrix is checked against
-    ``tol_residual`` times its largest column 2-norm, a lower bound on
+    :data:`TOL_EIG_RESIDUAL` times its largest column 2-norm, a lower bound on
     ``||M||_2``, so the check is at least as strict as one against the
     spectral norm. An :class:`EigenvalueError` is raised if the solver
     fails to converge or, for the first matrix of a stack that violates
@@ -238,10 +241,10 @@ def eig_general(m, tol_residual=TOL_EIG_RESIDUAL):
     residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(
         axis=(-2, -1))
     raise_first_failure([
-        ((norm > 0) & (residual > tol_residual * norm),
+        ((norm > 0) & (residual > TOL_EIG_RESIDUAL * norm),
          lambda i: EigenvalueError(
              f"eigenpair residual {residual.flat[i]:.3e} exceeds "
-             f"{tol_residual:.1e}*||M||"))])
+             f"{TOL_EIG_RESIDUAL:.1e}*||M||"))])
     return values, vectors
 
 

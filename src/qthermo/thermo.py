@@ -11,12 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .qcore import (KB, TOL_PSD, TOL_TRACE, dagger, hermitize, is_hermitian,
-                    kron, partial_trace)
+from .qcore import (KB, TOL_COMMUTE, TOL_PSD, TOL_TRACE, dagger, hermitize,
+                    is_hermitian, kron, partial_trace)
 
-# Eigenvalues in [-EIG_CLIP, 0) are numerical dust and clipped to 0 before
-# any logarithm.
-EIG_CLIP = 1e-9
+# sigma-weight of rho above which rho leaves the support of sigma
+TOL_SUPPORT = 1e-10
+# passivity: commutator and level degeneracy (both times max(||H||_2, 1)),
+# and population ordering
+TOL_PASSIVE = 1e-9
+# central-difference step Delta T / T of the heat capacity
+HEAT_CAPACITY_STEP = 1e-5
 
 FERMIONIC = "fermionic"
 BOSONIC = "bosonic"
@@ -100,11 +104,11 @@ def occupation(omega, res):
     return bose_einstein(omega, res)
 
 
-def gibbs_state(h, res, number_op=None, tol_commute=1e-9):
+def gibbs_state(h, res, number_op=None):
     """Grand-canonical Gibbs state e^{-beta(H - mu N)}/Z.
 
     ``number_op=None`` means the canonical ensemble (mu is ignored).
-    H and N must commute within ``tol_commute``.
+    H and N must commute within ``qcore.TOL_COMMUTE``.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
@@ -114,9 +118,9 @@ def gibbs_state(h, res, number_op=None, tol_commute=1e-9):
     else:
         number_op = np.asarray(number_op, dtype=complex)
         comm = h @ number_op - number_op @ h
-        if np.max(np.abs(comm)) > tol_commute:
-            raise ValueError("H and N do not commute; grand-canonical Gibbs "
-                             "state undefined")
+        if np.max(np.abs(comm)) > TOL_COMMUTE:
+            raise ValueError(f"H and N do not commute within {TOL_COMMUTE}; "
+                             "grand-canonical Gibbs state undefined")
         k = h - res.chemical_potential * number_op
     evals, vecs = np.linalg.eigh(hermitize(k))
     w = np.exp(-res.beta * (evals - evals.min()))
@@ -124,6 +128,8 @@ def gibbs_state(h, res, number_op=None, tol_commute=1e-9):
     return (vecs * w[None, :]) @ dagger(vecs)
 
 
+# Eigenvalues in [-TOL_PSD, 0) are numerical dust and clipped to 0 before
+# any logarithm.
 def _clipped_eigvals(rho):
     p = np.linalg.eigvalsh(hermitize(np.asarray(rho)))
     if p.min() < -TOL_PSD:
@@ -152,12 +158,12 @@ def shannon_entropy(p, base="e"):
     return h / math.log(2) if base == 2 else h
 
 
-def relative_entropy(rho, sigma, support_tol=1e-10):
+def relative_entropy(rho, sigma):
     """Quantum relative entropy S(rho || sigma) = Tr(rho ln rho - rho ln sigma).
 
     Non-negative; returns +inf (a legitimate value, deliberately flagged
     rather than raised) when the support of rho is not contained in the
-    support of sigma.
+    support of sigma (a weight above TOL_SUPPORT on its kernel).
     """
     rho = np.asarray(rho, dtype=complex)
     p = _clipped_eigvals(rho)
@@ -165,7 +171,7 @@ def relative_entropy(rho, sigma, support_tol=1e-10):
     s = np.clip(s, 0.0, None)
     weights = np.real(np.einsum("ij,jk,ki->i", dagger(w), rho, w))
     dead = s <= 0
-    if np.any(dead) and np.any(weights[dead] > support_tol):
+    if np.any(dead) and np.any(weights[dead] > TOL_SUPPORT):
         return math.inf
     nz = p[p > 0]
     term1 = float(np.sum(nz * np.log(nz)))
@@ -219,17 +225,17 @@ def effective_temperature(p1, epsilon):
     return epsilon / (KB * math.log((1.0 - p1) / p1))
 
 
-def is_passive(rho, h, tol=1e-9):
+def is_passive(rho, h):
     """True iff rho commutes with H and populations do not increase with energy.
 
     Ties between populations at the same energy are allowed; degenerate
-    energy levels are compared as groups.
+    energy levels are compared as groups, all within TOL_PASSIVE.
     """
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(h, dtype=complex)
     comm = rho @ h - h @ rho
-    scale = max(np.linalg.norm(h, 2), 1.0)
-    if np.max(np.abs(comm)) > tol * scale:
+    bound = TOL_PASSIVE * max(np.linalg.norm(h, 2), 1.0)
+    if np.max(np.abs(comm)) > bound:
         return False
     energies, vecs = np.linalg.eigh(hermitize(h))
     pops = np.real(np.einsum("ij,jk,ki->i", dagger(vecs), rho, vecs))
@@ -237,21 +243,21 @@ def is_passive(rho, h, tol=1e-9):
     groups = []
     start = 0
     for j in range(1, energies.size + 1):
-        if j == energies.size or energies[j] - energies[start] > tol * scale:
+        if j == energies.size or energies[j] - energies[start] > bound:
             groups.append(pops[start:j])
             start = j
     for lo, hi in zip(groups, groups[1:]):
-        if np.max(hi) > np.min(lo) + tol:
+        if np.max(hi) > np.min(lo) + TOL_PASSIVE:
             return False
     return True
 
 
-def energy_variance_identity(h, res, rel_step=1e-5):
+def energy_variance_identity(h, res):
     """Both sides of <H^2> - <H>^2 = k_B T^2 * C with C = dT <H>.
 
     Canonical setting (mu absorbed or zero). The heat capacity is formed
-    by a central finite difference with Delta T = rel_step * T. Returns
-    ``(lhs, rhs)``.
+    by a central finite difference with Delta T = HEAT_CAPACITY_STEP * T.
+    Returns ``(lhs, rhs)``.
     """
     h = np.asarray(h, dtype=complex)
 
@@ -265,7 +271,7 @@ def energy_variance_identity(h, res, rel_step=1e-5):
     e2 = float(np.real(np.trace(h @ h @ g)))
     lhs = e2 - e1 * e1
     t = res.temperature
-    dt = rel_step * t
+    dt = HEAT_CAPACITY_STEP * t
     heat_capacity = (mean_energy(t + dt) - mean_energy(t - dt)) / (2 * dt)
     # k_B T^2 dT<H> = tau^2 dtau<H> with tau = k_B T the stored field
     rhs = t * t * heat_capacity

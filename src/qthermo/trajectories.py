@@ -43,10 +43,24 @@ import numpy as np
 from scipy.special import xlogy
 
 from .lindblad import validate_ledger
-from .qcore import KB, dagger, expm_dense, hermitize
+from .qcore import KB, TOL_TRACE, dagger, expm_dense, hermitize
 
-_REAL_SYM_TOL = 1e-12
 _SEED_MAX = 2**64 - 1
+# TPM Hamiltonians: max|Im H| and max|H - H^T|
+TOL_REAL_SYMMETRIC = 1e-12
+# TPM work values this close are one atom of the work distribution
+TOL_WORK_MERGE = 1e-12
+# Population closure (unravel): H_TD is taken as diagonal when its
+# off-diagonal entries are at most TOL_DIAGONAL; H must be diagonal in the
+# H_TD eigenbasis within TOL_CLOSURE * max(max|H|, 1); a jump operator
+# entry above TOL_JUMP_SUPPORT * max|L| is a move.
+TOL_DIAGONAL = 1e-12
+TOL_CLOSURE = 1e-10
+TOL_JUMP_SUPPORT = 1e-9
+# Initial populations may dip to -TOL_POPULATION (then clipped to 0).
+TOL_POPULATION = 1e-12
+# ft_estimators: Sigma values equal to this many decimals are one atom
+ATOM_DECIMALS = 9
 
 
 class PopulationClosureError(ValueError):
@@ -75,11 +89,11 @@ def _check_seed(seed):
 
 def _check_real_symmetric(h):
     h = np.asarray(h)
-    if np.max(np.abs(np.imag(h))) > _REAL_SYM_TOL:
+    if np.max(np.abs(np.imag(h))) > TOL_REAL_SYMMETRIC:
         raise ValueError("TPM Hamiltonians must be real (time reversal is "
                          "complex conjugation)")
     h = np.real(h).astype(float)
-    if np.max(np.abs(h - h.T)) > _REAL_SYM_TOL:
+    if np.max(np.abs(h - h.T)) > TOL_REAL_SYMMETRIC:
         raise ValueError("TPM Hamiltonians must be symmetric")
     return h
 
@@ -183,7 +197,7 @@ class TPMDistribution:
         return float(np.sum(self.joint * self.work))
 
     def work_distribution(self):
-        """(unique work values, probabilities), merged within 1e-12;
+        """(unique work values, probabilities), merged within TOL_WORK_MERGE;
         zero-probability transitions are dropped."""
         w = self.work.ravel()
         p = self.joint.ravel()
@@ -193,7 +207,7 @@ class TPMDistribution:
         for wi, pi in zip(w, p):
             if pi <= 0.0:
                 continue
-            if values and abs(wi - values[-1]) <= 1e-12:
+            if values and abs(wi - values[-1]) <= TOL_WORK_MERGE:
                 probs[-1] += pi
             else:
                 values.append(wi)
@@ -430,7 +444,7 @@ class TrajectoryEnsemble:
             float(self.entropy_production[index]))
 
 
-def _population_structure(gen, ledger, tol=1e-10):
+def _population_structure(gen, ledger):
     """Diagonalize H_TD, verify population closure, tabulate jump moves.
 
     Returns (basis, per-channel (targets, rates) tables, classical rate
@@ -440,13 +454,13 @@ def _population_structure(gen, ledger, tol=1e-10):
     h_td = ledger.h_td
     dim = h_td.shape[0]
     offdiag = h_td - np.diag(np.diag(h_td))
-    if np.max(np.abs(offdiag)) <= 1e-12:
+    if np.max(np.abs(offdiag)) <= TOL_DIAGONAL:
         basis = np.eye(dim, dtype=complex)
     else:
         _, basis = np.linalg.eigh(hermitize(h_td))
     h_s = dagger(basis) @ gen.hamiltonian @ basis
     scale = max(float(np.max(np.abs(h_s))), 1.0)
-    if np.max(np.abs(h_s - np.diag(np.diag(h_s)))) > tol * scale:
+    if np.max(np.abs(h_s - np.diag(np.diag(h_s)))) > TOL_CLOSURE * scale:
         raise PopulationClosureError(
             "Hamiltonian is not diagonal in the H_TD eigenbasis; the "
             "unraveling would mix coherences into populations. Use the fcs "
@@ -460,7 +474,7 @@ def _population_structure(gen, ledger, tol=1e-10):
         targets = np.full(dim, -1, dtype=int)
         rates = np.zeros(dim)
         for j in range(dim):
-            nz = np.where(mags[:, j] > 1e-9 * col_scale)[0]
+            nz = np.where(mags[:, j] > TOL_JUMP_SUPPORT * col_scale)[0]
             if nz.size > 1:
                 raise PopulationClosureError(
                     f"channel {k} maps basis state {j} to a superposition; "
@@ -625,8 +639,8 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     reservoirs, tables, quanta = _state_tables(gen, ledger, moves)
     dim = rate_matrix.shape[0]
     p0 = np.asarray(p0, dtype=float)
-    if (p0.shape != (dim,) or not np.isfinite(p0).all() or p0.min() < -1e-12
-            or abs(p0.sum() - 1) > 1e-10):
+    if (p0.shape != (dim,) or not np.isfinite(p0).all()
+            or p0.min() < -TOL_POPULATION or abs(p0.sum() - 1) > TOL_TRACE):
         raise ValueError("p0 must be a population vector over the basis")
     p0 = np.clip(p0, 0.0, None)
     p0 = p0 / p0.sum()
@@ -737,20 +751,19 @@ class FTReport:
     detailed_inconclusive: bool
 
 
-def ft_estimators(forward, backward=None, min_count=10, atom_decimals=9,
-                  max_atoms=20000):
+def ft_estimators(forward, backward=None, min_count=10, max_atoms=20000):
     """Integral and detailed fluctuation-theorem estimators.
 
     Integral: <e^{-Sigma/k_B}> with standard error (consistent with 1).
     Detailed (needs a backward ensemble): weighted fit of
     ln[P~(-Sigma)/P(Sigma)] against Sigma; expected slope -1/k_B. Since
     jump-trajectory Sigma values live on a lattice (finitely many jump
-    counts and boundary states), the ratio is taken per distinct value,
-    which avoids the aggregation bias of wide histogram bins; only when
-    the number of distinct values explodes does the estimator fall back
-    to equal-width bins with forward-centroid abscissae. Insufficient
-    negative-Sigma statistics are reported as inconclusive, never
-    silently passed.
+    counts and boundary states), the ratio is taken per distinct value
+    (to ATOM_DECIMALS decimals), which avoids the aggregation bias of wide
+    histogram bins; only above ``max_atoms`` distinct values does the
+    estimator fall back to equal-width bins with forward-centroid
+    abscissae. Insufficient negative-Sigma statistics are reported as
+    inconclusive, never silently passed.
     """
     for ens in (forward, backward):
         if ens is not None and len(ens) < 2:
@@ -763,8 +776,8 @@ def ft_estimators(forward, backward=None, min_count=10, atom_decimals=9,
     slope = slope_err = None
     inconclusive = backward is None
     if backward is not None:
-        sf = np.round(forward.entropy_production, atom_decimals)
-        sb = np.round(-backward.entropy_production, atom_decimals)
+        sf = np.round(forward.entropy_production, ATOM_DECIMALS)
+        sb = np.round(-backward.entropy_production, ATOM_DECIMALS)
         uf, cf = np.unique(sf, return_counts=True)
         if uf.size <= max_atoms:
             ub, cb = np.unique(sb, return_counts=True)

@@ -117,6 +117,7 @@ class TestEfficiency:
 
     def test_undefined_at_matching_potentials(self):
         assert engine_efficiency(engine_params(eps_d=0.0, mu_h=0.0)) is None
+        assert engine_efficiency(engine_params(mu_c=0.0, mu_h=0.0)) == 0.0
         assert engine_cop(engine_params(mu_c=0.0, mu_h=0.0)) is None
 
     def test_efficiency_below_carnot_on_grid(self):

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qthermo import lindblad, qcore
-from qthermo.fcs import CountingConfig, CountingField, CountingError, cumulants
+from qthermo.fcs import (CountingConfig, CountingField, CountingError,
+                         counting_liouvillian, cumulants)
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, MultistabilityError,
                               ThermoLedger, all_currents,
                               entropy_production_rate, steady_state)
@@ -158,6 +159,19 @@ def test_operators_shared_only_when_bitwise_equal():
         assert_bitwise(rho[i], one_rho)
         assert_bitwise(entropy_production_rate(gen, ledger, rho)[i],
                        entropy_production_rate(one_gen, one_ledger, one_rho))
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 5])
+def test_counting_liouvillian_equals_points(n_points):
+    # the engine has 4 channels: at 4 points the channel and sweep axes
+    # have the same length
+    machines = engine_points(n_points)
+    gen, _ = stack_sweep(machines)
+    cfg = CountingConfig.particle(gen, "c")
+    field = {cfg.fields[0].name: 0.3}
+    assert_bitwise(counting_liouvillian(gen, cfg, field),
+                   np.stack([counting_liouvillian(one_gen, cfg, field)
+                             for one_gen, _ in machines]))
 
 
 def test_mismatched_structure_rejected():
