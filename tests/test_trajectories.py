@@ -598,6 +598,14 @@ class TestUnravelGolden:
         chunked = unravel(gen, ledger, p0, 5.0, 21, 1000)
         assert ensemble_digests(chunked) == ensemble_digests(whole)
 
+    @pytest.mark.parametrize("name, chunk", [("decaying_dot", 7),
+                                             ("single_dot_tau150", 64)])
+    def test_golden_digests_in_small_slices(self, name, chunk, monkeypatch):
+        # many slices share each block; single_dot_tau150 also runs past
+        # the refill after draw 62
+        monkeypatch.setattr(trajectories, "_CHUNK", chunk)
+        assert ensemble_digests(golden_ensemble(name)) == GOLDEN_DIGESTS[name]
+
     def test_prefix_is_independent_of_ensemble_size(self):
         # trajectory i depends only on (seed, i)
         gen, ledger = single_dot_generator(biased_dot_params())
