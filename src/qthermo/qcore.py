@@ -6,8 +6,8 @@ column-stacked operators. :func:`dagger`, :func:`kron`, :func:`spre`,
 :func:`spost`, :func:`dissipator_superop`, :func:`unvectorize` and
 :func:`eig_general` also take stacks ``(..., d, d)`` and act on each
 trailing matrix, with the same bits as one call per matrix.
-Intended for small Hilbert spaces (d <= ~64); no sparse or tensor-network
-representations.
+Intended for small Hilbert spaces (the README gives timings up to
+d = 32); no sparse or tensor-network representations.
 
 Conventions
 -----------

@@ -31,7 +31,9 @@ execution order or batch size. Seeds are integers in [0, 2**64 - 1].
   time out of a state of escape rate r is -log(1 - u) / r, with the C
   library's log (the one ``math.log`` calls) applied as a ufunc through
   ``scipy.special.xlogy(1, .)``, so ensembles are bit-reproducible for a
-  given libm.
+  given libm. The sampler reads the streams block by block: block b of
+  every trajectory still alive, in slices of at most ``_CHUNK``
+  trajectories, then block b + 1 for the survivors.
 """
 
 import math
@@ -535,9 +537,10 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK64 = 2**64 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 
-# Trajectories sampled together in one lock-step batch. It bounds the
-# working arrays (a few hundred bytes per trajectory) and does not change
-# the draws.
+# Trajectories in one Philox slice: the sampler computes each block for
+# at most this many live trajectories at a time. It bounds the working
+# arrays of a slice (a few hundred bytes per trajectory), not the
+# ensemble, and does not change the draws.
 _CHUNK = 16384
 
 
@@ -576,43 +579,12 @@ def _philox4x64(counter, key):
     return c0, c1, c2, c3
 
 
-def _jump_draws(j):
-    """Stream positions of the (waiting time, channel) draws of jump j."""
-    if j < 31:
-        return 1 + 2 * j, 2 + 2 * j
-    j -= 31
-    first = 64 * (1 + j // 32) + 2 * (j % 32)
-    return first, first + 1
-
-
-class _Streams:
-    """The draw streams of a set of live trajectories, read in lock-step.
-
-    Every trajectory reads the same stream position at the same time, so
-    one Philox block is held per trajectory and the next one is computed
-    only for the trajectories still alive when it is first needed.
-    """
-
-    def __init__(self, seed, index):
-        self.key = (seed, 0)
-        self.index = index.astype(np.uint64)
-        self.block_no = 0
-        self.block = None
-
-    def uniform(self, position):
-        block_no = 1 + position // 4
-        if block_no != self.block_no:
-            zero = np.uint64(0)
-            self.block = np.array(_philox4x64(
-                (np.uint64(block_no), zero, zero, self.index), self.key))
-            self.block_no = block_no
-        return (self.block[position % 4] >> 11) * 2.0**-53
-
-    def keep(self, on):
-        """Keep only the trajectories at the sorted indices ``on``."""
-        self.index = self.index.take(on)
-        if self.block is not None:
-            self.block = self.block.take(on, axis=1)
+def _role(position):
+    """What stream position ``position`` of a trajectory is read for:
+    "init", "wait" (waiting time), "move" (channel) or "unused"."""
+    if position in (0, 63):
+        return "init" if position == 0 else "unused"
+    return "wait" if position % 2 == (position < 63) else "move"
 
 
 def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
@@ -654,11 +626,22 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     heat = np.zeros((n_res, n_traj))
     work = np.zeros((n_res, n_traj))
     events = [[] for _ in range(n_traj)] if record_events else None
-    cum_p0 = np.cumsum(p0)
-    for start in range(0, n_traj, _CHUNK):
-        _unravel_chunk(np.arange(start, min(start + _CHUNK, n_traj)), seed,
-                       cum_p0, tables, quanta, tau,
-                       initial, final, heat, work, events)
+    args = (seed, np.cumsum(p0), tables, quanta, tau,
+            initial, final, heat, work, events)
+    # block 1 starts every trajectory, sliced from index ranges; each later
+    # block reads the survivors of the one before
+    block = 1
+    out = (_unravel_slice(block, (np.arange(s, min(s + _CHUNK, n_traj)),
+                                  None, None), *args)
+           for s in range(0, n_traj, _CHUNK))
+    while True:
+        traj, state, t = map(np.concatenate, zip(*out))
+        if not traj.size:
+            break
+        block += 1
+        out = [_unravel_slice(block, (traj[s:s + _CHUNK], state[s:s + _CHUNK],
+                                      t[s:s + _CHUNK]), *args)
+               for s in range(0, traj.size, _CHUNK)]
 
     entropy_change = np.log(p0[initial]) - np.log(p_tau[final])
     sigma = KB * entropy_change.copy()
@@ -675,62 +658,68 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         basis=basis, rate_matrix=rate_matrix)
 
 
-def _unravel_chunk(pos, seed, cum_p0, tables, quanta, tau,
+def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
                    initial, final, heat, work, events):
-    """Sample trajectories ``pos`` one jump per step, all at once.
+    """Read Philox block ``block`` of the trajectories in ``live``.
 
-    Writes their rows of ``initial``, ``final``, ``heat``, ``work`` and,
-    when not None, ``events``. A trajectory leaves the live set when its
-    state has no way out or its next jump would fall after ``tau``.
+    ``live`` is (traj, state, t): trajectory indices and their states and
+    times after block ``block - 1`` (state and t are None in block 1).
+    Each of the block's four stream positions is read by its ``_role``.
+    A trajectory leaves when its state has no way out or its next jump
+    would fall after ``tau``. Writes rows of ``initial``, ``final``,
+    ``heat``, ``work`` and, when not None, ``events``; returns the
+    survivors' (traj, state, t).
     """
     totals, cum, targets, channels = tables
     res_idx, dq, dw = quanta
     last_move = np.count_nonzero(targets >= 0, axis=1) - 1
     # flat views of the C-contiguous (reservoir, trajectory) accumulators;
-    # a step adds to one distinct cell per live trajectory
+    # a move adds to one distinct cell per live trajectory
     heat_cells, work_cells = heat.reshape(-1), work.reshape(-1)
     res_offset = res_idx * heat.shape[1]
-    streams = _Streams(seed, pos)
-    state = np.searchsorted(cum_p0, streams.uniform(0), side="right")
-    state = np.minimum(state, cum_p0.size - 1)
-    initial[pos] = state
-    t = np.zeros(pos.size)
-    j = 0
-    while pos.size:
-        total = totals.take(state)
-        stuck = total <= 0.0
-        if stuck.any():
-            final[pos[stuck]] = state[stuck]
-            on = np.flatnonzero(~stuck)
-            pos, state, t, total = (a.take(on) for a in (pos, state, t, total))
-            streams.keep(on)
-            if not pos.size:
-                break
-        first, second = _jump_draws(j)
-        # xlogy(1, .) applies the C library's log, the one math.log calls;
-        # np.log's SIMD kernel differs from it in the last bit for some inputs
-        dt = -xlogy(1.0, 1.0 - streams.uniform(first)) / total
-        t = t + dt
-        late = t > tau
-        if late.any():
-            final[pos[late]] = state[late]
-            on = np.flatnonzero(~late)
-            pos, state, t, total = (a.take(on) for a in (pos, state, t, total))
-            streams.keep(on)
-            if not pos.size:
-                break
-        x = streams.uniform(second) * total
-        local = sum(col.take(state) <= x for col in cum.T)
-        move = state * cum.shape[1] + np.minimum(local, last_move.take(state))
-        k = channels.take(move)
-        cell = res_offset.take(k) + pos
-        np.add.at(heat_cells, cell, dq.take(k))
-        np.add.at(work_cells, cell, dw.take(k))
-        state = targets.take(move)
-        if events is not None:
-            for i, ti, ki in zip(pos.tolist(), t.tolist(), k.tolist()):
-                events[i].append((ti, ki))
-        j += 1
+    traj, state, t = live
+    zero = np.uint64(0)
+    words = np.array(_philox4x64((np.uint64(block), zero, zero,
+                                  traj.astype(np.uint64)), (seed, 0)))
+    for p in range(4):
+        if not traj.size:
+            break
+        role = _role(4 * (block - 1) + p)
+        if role == "unused":
+            continue
+        u = (words[p] >> 11) * 2.0**-53
+        if role == "init":
+            state = np.searchsorted(cum_p0, u, side="right")
+            state = np.minimum(state, cum_p0.size - 1)
+            initial[traj] = state
+            t = np.zeros(traj.size)
+        elif role == "wait":
+            # xlogy(1, .) applies the C library's log, the one math.log
+            # calls; np.log's SIMD kernel differs from it in the last bit
+            # for some inputs
+            dt = -xlogy(1.0, 1.0 - u) / totals.take(state)
+            t = t + dt
+        else:
+            x = u * totals.take(state)
+            local = sum(col.take(state) <= x for col in cum.T)
+            move = (state * cum.shape[1]
+                    + np.minimum(local, last_move.take(state)))
+            k = channels.take(move)
+            cell = res_offset.take(k) + traj
+            np.add.at(heat_cells, cell, dq.take(k))
+            np.add.at(work_cells, cell, dw.take(k))
+            state = targets.take(move)
+            if events is not None:
+                for i, ti, ki in zip(traj.tolist(), t.tolist(), k.tolist()):
+                    events[i].append((ti, ki))
+        # a jump after tau ends a trajectory; so does a state with no way out
+        done = t > tau if role == "wait" else totals.take(state) <= 0.0
+        if done.any():
+            final[traj[done]] = state[done]
+            on = np.flatnonzero(~done)
+            traj, state, t = traj.take(on), state.take(on), t.take(on)
+            words = words.take(on, axis=1)
+    return traj, state, t
 
 
 def backward_ensemble(gen, ledger, forward, seed):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from unittest import mock
 
@@ -621,6 +622,23 @@ class TestUnravelGolden:
         assert big.events[:777] == small.events
 
 
+def test_unravel_working_memory_is_bounded():
+    # the trajectories_ft ensemble: besides its outputs, unravel holds
+    # only the survivors of a block and one slice's working arrays
+    gen, ledger = single_dot_generator(biased_dot_params())
+    p0 = np.real(np.diag(steady_state(gen)))
+    n_traj = 100_000
+    tracemalloc.start()
+    try:
+        ens = unravel(gen, ledger, p0, 2.0, 42, n_traj, record_events=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (
+        ens.initial, ens.final, ens.entropy_change,
+        ens.entropy_production, *ens.heat.values(), *ens.work.values()))
+    assert peak - held <= 40 * n_traj
+
 
 def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
     """Reference sampler: one trajectory at a time, each on a fresh
@@ -768,6 +786,26 @@ def test_waiting_time_log_is_libm_log():
         f"{args[bad[0]]!r}; the ensembles would no longer be reproducible")
 
 
+def test_stream_roles_match_the_jump_layout():
+    """Position 0 draws the initial state; jump j reads its (waiting time,
+    channel) pair from the positions below, in batches of 64 with draw 63
+    skipped. Every other position is unused."""
+    def jump_draws(j):
+        if j < 31:
+            return 1 + 2 * j, 2 + 2 * j
+        j -= 31
+        first = 64 * (1 + j // 32) + 2 * (j % 32)
+        return first, first + 1
+
+    expected = {0: "init"}
+    for j in range(200):
+        first, second = jump_draws(j)
+        expected[first], expected[second] = "wait", "move"
+    for position in range(321):
+        assert (trajectories._role(position)
+                == expected.get(position, "unused")), position
+
+
 class TestPhilox:
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 2])
     @pytest.mark.parametrize("block, index", [
@@ -838,7 +876,7 @@ class TestSeedsAndSizes:
 
 class TestSamplingInputsRejected:
     """Inputs that would hang the sampler or poison its output raise a
-    ValueError naming the argument before any sampling starts. The chunk
+    ValueError naming the argument before any sampling starts. The slice
     sampler is replaced by one that fails, so a lost check fails the test
     instead of looping forever."""
 
@@ -846,7 +884,7 @@ class TestSamplingInputsRejected:
     def no_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started")
-        monkeypatch.setattr(trajectories, "_unravel_chunk", refuse)
+        monkeypatch.setattr(trajectories, "_unravel_slice", refuse)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
     def test_unravel_rejects_bad_tau(self, tau):
