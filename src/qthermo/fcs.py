@@ -281,10 +281,11 @@ def tur_audit(mean_current, variance_rate, sigma_dot):
     ratio = <<I^2>>/<I>^2, bound = 2 k_B / Sigma_dot, satisfied iff
     ratio >= bound. Provable for classical Markov dynamics; reported, not
     enforced, since quantum-coherent generators may violate it. At
-    Sigma_dot <= 0 the bound is infinite and ``satisfied`` is None.
+    Sigma_dot <= 0 the bound is infinite and ``satisfied`` is None. A
+    zero mean current raises :class:`CountingError`.
     """
     if mean_current == 0.0:
-        raise ValueError("TUR audit needs a nonzero mean current")
+        raise CountingError("TUR audit needs a nonzero mean current")
     ratio = variance_rate / mean_current ** 2
     if sigma_dot <= 0.0:
         return TURAudit(ratio, math.inf, None)

@@ -10,7 +10,10 @@ Two layers:
 - Open-system unraveling: Gillespie sampling of the classical jump
   process of a population-closed GKLS generator, accumulating stochastic
   heat, chemical work, system entropy change, and entropy production per
-  trajectory; integral/detailed fluctuation-theorem estimators.
+  trajectory; integral/detailed fluctuation-theorem estimators. Every
+  per-trajectory field is a column, and so are the recorded jumps: CSR
+  columns ``offsets``, ``times`` and ``channels``, trajectory i's jumps
+  being the slice ``offsets[i]:offsets[i + 1]`` of the other two.
 
 Time reversal is restricted to Theta = complex conjugation, so all TPM
 Hamiltonians must be real-symmetric (no magnetic fields).
@@ -393,20 +396,6 @@ def crooks_check(forward_work, backward_work, beta, delta_f, bins=20):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class JumpTrajectory:
-    """One stochastic record: boundary indices, jump events, and the
-    per-trajectory thermodynamic bookkeeping."""
-
-    initial: int
-    final: int
-    events: Tuple[Tuple[float, int], ...]
-    heat: dict
-    work: dict
-    entropy_change: float
-    entropy_production: float
-
-
-@dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Columnar storage of N unraveled trajectories.
 
@@ -414,7 +403,12 @@ class TrajectoryEnsemble:
     (positive into reservoir alpha); ``entropy_production`` is
     Sigma = k_B DeltaS + sum_alpha Q_alpha/T_alpha per trajectory.
     ``p_final`` is the ensemble (rate-equation) population at tau used
-    for the boundary term of DeltaS.
+    for the boundary term of DeltaS. ``events`` is None unless events
+    were recorded; then it is the CSR triple (offsets, times, channels):
+    int64 ``offsets`` of length N + 1, float64 jump ``times`` and int64
+    jump ``channels``, trajectory i's jumps being
+    ``times[offsets[i]:offsets[i + 1]]`` in time order and the
+    ``channels`` of the same slice.
     """
 
     initial: np.ndarray
@@ -423,7 +417,7 @@ class TrajectoryEnsemble:
     work: dict
     entropy_change: np.ndarray
     entropy_production: np.ndarray
-    events: Optional[list]
+    events: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     p_initial: np.ndarray
     p_final: np.ndarray
     tau: float
@@ -434,24 +428,19 @@ class TrajectoryEnsemble:
     def __len__(self):
         return self.initial.size
 
-    def trajectory(self, index):
-        if self.events is None:
-            raise ValueError("events were not recorded for this ensemble")
-        return JumpTrajectory(
-            int(self.initial[index]), int(self.final[index]),
-            tuple(self.events[index]),
-            {a: float(q[index]) for a, q in self.heat.items()},
-            {a: float(w[index]) for a, w in self.work.items()},
-            float(self.entropy_change[index]),
-            float(self.entropy_production[index]))
 
+def _jump_tables(gen, ledger):
+    """Diagonalize H_TD, verify population closure, tabulate the jumps.
 
-def _population_structure(gen, ledger):
-    """Diagonalize H_TD, verify population closure, tabulate jump moves.
-
-    Returns (basis, per-channel (targets, rates) tables, classical rate
-    matrix). Raises PopulationClosureError with guidance when coherences
-    are dynamically coupled to populations.
+    Returns (basis, classical rate matrix, reservoirs, state tables,
+    quanta). Row j of the state tables ``cum``, ``targets`` and
+    ``channels`` lists the moves out of state j in channel order:
+    cumulative rates (summed left to right), target states and channel
+    indices, padded with +inf / -1 up to the widest row. ``totals[j]`` is
+    the escape rate, ``cum[j]``'s last finite entry. The quanta
+    ``(reservoir index, heat, work)`` are indexed by channel. Raises
+    PopulationClosureError with guidance when coherences are dynamically
+    coupled to populations.
     """
     h_td = ledger.h_td
     dim = h_td.shape[0]
@@ -467,14 +456,19 @@ def _population_structure(gen, ledger):
             "Hamiltonian is not diagonal in the H_TD eigenbasis; the "
             "unraveling would mix coherences into populations. Use the fcs "
             "module for counting statistics of coherent generators.")
-    moves = []  # per channel: (source -> (target, rate)) arrays
+    reservoirs = gen.reservoirs()
+    n_ch = max(1, len(gen.channels))
     rate_matrix = np.zeros((dim, dim))
+    totals = np.zeros(dim)
+    cum = np.full((dim, n_ch), np.inf)
+    targets = np.full((dim, n_ch), -1, dtype=np.int64)
+    channels = np.full((dim, n_ch), -1, dtype=np.int64)
+    width = np.zeros(dim, dtype=np.int64)  # moves out of each state so far
+    res_idx, dq, dw = [], [], []
     for k, ch in enumerate(gen.channels):
         op = dagger(basis) @ ch.operator @ basis
         mags = np.abs(op)
         col_scale = mags.max() if mags.max() > 0 else 1.0
-        targets = np.full(dim, -1, dtype=int)
-        rates = np.zeros(dim)
         for j in range(dim):
             nz = np.where(mags[:, j] > TOL_JUMP_SUPPORT * col_scale)[0]
             if nz.size > 1:
@@ -483,52 +477,23 @@ def _population_structure(gen, ledger):
                     "generator is not population-closed. Use the fcs module "
                     "instead.")
             if nz.size == 1:
-                targets[j] = nz[0]
-                rates[j] = ch.rate * mags[nz[0], j] ** 2
-                rate_matrix[nz[0], j] += rates[j]
-                rate_matrix[j, j] -= rates[j]
-        moves.append((targets, rates))
-    return basis, moves, rate_matrix
-
-
-def _state_tables(gen, ledger, moves):
-    """Per-source-state jump tables and per-channel quanta as arrays.
-
-    Row j of ``cum``, ``targets`` and ``channels`` lists the moves out of
-    state j: cumulative rates (summed left to right), target states and
-    channel indices, padded with +inf / -1 up to the widest row.
-    ``totals[j]`` is the escape rate, ``cum[j]``'s last finite entry.
-    The quanta ``(reservoir index, heat, work)`` are indexed by channel.
-    """
-    dim = ledger.h_td.shape[0]
-    reservoirs = gen.reservoirs()
-    res_index = {alpha: i for i, alpha in enumerate(reservoirs)}
-    rows = []
-    for j in range(dim):
-        rows.append([(float(rt[j]), int(tgt[j]), k)
-                     for k, (tgt, rt) in enumerate(moves)
-                     if tgt[j] >= 0 and rt[j] > 0])
-    width = max(1, max(len(row) for row in rows))
-    totals = np.zeros(dim)
-    cum = np.full((dim, width), np.inf)
-    targets = np.full((dim, width), -1, dtype=np.int64)
-    channels = np.full((dim, width), -1, dtype=np.int64)
-    for j, row in enumerate(rows):
-        acc = 0.0
-        for c, (rate, target, k) in enumerate(row):
-            acc += rate
-            cum[j, c] = acc
-            targets[j, c] = target
-            channels[j, c] = k
-        totals[j] = acc
-    res_idx, dq, dw = [], [], []
-    for ch in gen.channels:
+                rate = ch.rate * mags[nz[0], j] ** 2
+                rate_matrix[nz[0], j] += rate
+                rate_matrix[j, j] -= rate
+                if rate > 0:
+                    totals[j] += rate
+                    c = width[j]
+                    cum[j, c] = totals[j]
+                    targets[j, c], channels[j, c] = nz[0], k
+                    width[j] += 1
         mu = ledger.reservoirs[ch.reservoir].chemical_potential
-        res_idx.append(res_index[ch.reservoir])
+        res_idx.append(reservoirs.index(ch.reservoir))
         dq.append(float(ch.energy_quantum - mu * ch.particle_quantum))
         dw.append(float(mu * ch.particle_quantum))
+    keep = max(1, int(width.max()))
+    tables = (totals, *(a[:, :keep].copy() for a in (cum, targets, channels)))
     quanta = (np.array(res_idx, dtype=np.int64), np.array(dq), np.array(dw))
-    return reservoirs, (totals, cum, targets, channels), quanta
+    return basis, rate_matrix, reservoirs, tables, quanta
 
 
 # Philox4x64-10 multipliers and Weyl key increments (Random123).
@@ -598,7 +563,10 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     ensemble rate-equation populations at 0 and tau. Trajectory i draws
     from its own Philox stream (see the module docstring), so it depends
     only on (seed, i). ``n_traj`` must be an integer of at least 1 and
-    ``tau`` finite and >= 0.
+    ``tau`` finite and >= 0. With ``record_events`` the ensemble's
+    ``events`` are the CSR columns (offsets, times, channels) of every jump
+    (see :class:`TrajectoryEnsemble`); without it they are None, which
+    saves their memory and the sort that orders them by trajectory.
     """
     seed = _check_seed(seed)
     n_traj = _integer("n_traj", n_traj)
@@ -607,8 +575,7 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     validate_ledger(gen, ledger)
-    basis, moves, rate_matrix = _population_structure(gen, ledger)
-    reservoirs, tables, quanta = _state_tables(gen, ledger, moves)
+    basis, rate_matrix, reservoirs, tables, quanta = _jump_tables(gen, ledger)
     dim = rate_matrix.shape[0]
     p0 = np.asarray(p0, dtype=float)
     if (p0.shape != (dim,) or not np.isfinite(p0).all()
@@ -625,9 +592,12 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     final = np.empty(n_traj, dtype=np.int64)
     heat = np.zeros((n_res, n_traj))
     work = np.zeros((n_res, n_traj))
-    events = [[] for _ in range(n_traj)] if record_events else None
+    # (traj, t, k) of every move in block order, starting from a move of
+    # no trajectories so that an ensemble without jumps has columns too
+    jumps = ([(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+             if record_events else None)
     args = (seed, np.cumsum(p0), tables, quanta, tau,
-            initial, final, heat, work, events)
+            initial, final, heat, work, jumps)
     # block 1 starts every trajectory, sliced from index ranges; each later
     # block reads the survivors of the one before
     block = 1
@@ -642,6 +612,16 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         out = [_unravel_slice(block, (traj[s:s + _CHUNK], state[s:s + _CHUNK],
                                       t[s:s + _CHUNK]), *args)
                for s in range(0, traj.size, _CHUNK)]
+    events = None
+    if jumps is not None:
+        traj, times, channels = map(np.concatenate, zip(*jumps))
+        jumps.clear()  # frees the per-move arrays before the sort
+        # a trajectory's moves come in block order, which is its time order,
+        # and a stable sort by trajectory keeps that order
+        order = np.argsort(traj, kind="stable")
+        offsets = np.zeros(n_traj + 1, dtype=np.int64)
+        np.cumsum(np.bincount(traj, minlength=n_traj), out=offsets[1:])
+        events = (offsets, times.take(order), channels.take(order))
 
     entropy_change = np.log(p0[initial]) - np.log(p_tau[final])
     sigma = KB * entropy_change.copy()
@@ -653,13 +633,13 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         heat={a: heat[r] for r, a in enumerate(reservoirs)},
         work={a: work[r] for r, a in enumerate(reservoirs)},
         entropy_change=entropy_change, entropy_production=sigma,
-        events=None if events is None else [tuple(ev) for ev in events],
+        events=events,
         p_initial=p0, p_final=p_tau, tau=tau, seed=seed,
         basis=basis, rate_matrix=rate_matrix)
 
 
 def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
-                   initial, final, heat, work, events):
+                   initial, final, heat, work, jumps):
     """Read Philox block ``block`` of the trajectories in ``live``.
 
     ``live`` is (traj, state, t): trajectory indices and their states and
@@ -667,8 +647,8 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
     Each of the block's four stream positions is read by its ``_role``.
     A trajectory leaves when its state has no way out or its next jump
     would fall after ``tau``. Writes rows of ``initial``, ``final``,
-    ``heat``, ``work`` and, when not None, ``events``; returns the
-    survivors' (traj, state, t).
+    ``heat`` and ``work``, appends (traj, t, k) of each move to ``jumps``
+    when it is not None, and returns the survivors' (traj, state, t).
     """
     totals, cum, targets, channels = tables
     res_idx, dq, dw = quanta
@@ -709,9 +689,8 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
             np.add.at(heat_cells, cell, dq.take(k))
             np.add.at(work_cells, cell, dw.take(k))
             state = targets.take(move)
-            if events is not None:
-                for i, ti, ki in zip(traj.tolist(), t.tolist(), k.tolist()):
-                    events[i].append((ti, ki))
+            if jumps is not None:
+                jumps.append((traj, t, k))
         # a jump after tau ends a trajectory; so does a state with no way out
         done = t > tau if role == "wait" else totals.take(state) <= 0.0
         if done.any():

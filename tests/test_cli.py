@@ -315,9 +315,25 @@ class TestSweepFailures:
             "sweep": {"name": "kappa_L", "start": 0.4, "stop": 0.0,
                       "steps": 2},
             "output": {"path": str(tmp_path / "fcs.csv"), "format": "csv"}})
-        assert main(["run", path]) == 2
+        assert main(["run", path]) == 3
         assert capsys.readouterr().err == \
-            "config error: TUR audit needs a nonzero mean current\n"
+            "numerical failure: TUR audit needs a nonzero mean current\n"
+        assert not (tmp_path / "fcs.csv").exists()
+
+    def test_zero_mean_current_point_is_numerical_failure(self, tmp_path,
+                                                          capsys):
+        # mu_L = mu_R = -0.8 at the fifth point: no bias, no mean current
+        path = write_config(tmp_path / "fcs.json", {
+            "experiment": "fcs",
+            "params": {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
+                       "mu_R": -0.8, "kappa_L": 0.6, "kappa_R": 0.4},
+            "sweep": {"name": "mu_L", "start": -1.2, "stop": -0.4,
+                      "steps": 9},
+            "output": {"path": str(tmp_path / "fcs.csv"), "format": "csv"}})
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: TUR audit needs a nonzero mean current\n"
         assert not (tmp_path / "fcs.csv").exists()
 
     def test_error_of_no_point_is_raised_as_is(self, tmp_path, capsys,

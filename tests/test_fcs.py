@@ -309,7 +309,7 @@ class TestTUR:
         assert audit.satisfied is None
 
     def test_zero_mean_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CountingError):
             tur_audit(0.0, 1.0, 1.0)
 
     def test_engine_form_bounded(self):

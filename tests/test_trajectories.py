@@ -273,7 +273,8 @@ class TestUnravelPhysics:
         b = unravel(gen, ledger, p0, 2.0, 9, 500)
         assert np.array_equal(a.initial, b.initial)
         assert np.array_equal(a.final, b.final)
-        assert a.events == b.events
+        for x, y in zip(a.events, b.events):
+            assert x.tobytes() == y.tobytes()
         assert np.array_equal(a.entropy_production, b.entropy_production)
 
     def test_equilibrium_ensemble(self):
@@ -317,8 +318,9 @@ class TestUnravelPhysics:
         # stationary start: the count rate is then exactly the FCS mean
         p0 = np.array([kr, kl]) / (kl + kr)
         ens = unravel(gen, ledger, p0, tau, 3, 40_000)
-        to_right = np.array([sum(1 for _, k in ev if k == 1)
-                             for ev in ens.events])
+        offsets, _, channels = ens.events
+        to_right = np.bincount(jump_owners(offsets)[channels == 1],
+                               minlength=len(ens))
         se = to_right.std(ddof=1) / math.sqrt(to_right.size)
         assert abs(to_right.mean() - kl * kr / (kl + kr) * tau) < 5 * se
 
@@ -329,18 +331,17 @@ class TestUnravelPhysics:
         n = 100_000
         checkpoints = np.linspace(0.3, tau, 10)
         ens = unravel(gen, ledger, p0, tau, 77, n)
-        # reconstruct each trajectory's state at the checkpoints
+        # each trajectory's state at a checkpoint: where its last jump up to
+        # then led (channels 0 and 2 empty the dot), else its initial state
+        offsets, times, channels = ens.events
+        owners = jump_owners(offsets)
+        after = np.where((channels == 0) | (channels == 2), 0, 1)
         pops = np.zeros((10, 2))
-        for i in range(n):
-            state = ens.initial[i]
-            events = ens.events[i]
-            ptr = 0
-            for j, t_check in enumerate(checkpoints):
-                while ptr < len(events) and events[ptr][0] <= t_check:
-                    k = events[ptr][1]
-                    state = 0 if k in (0, 2) else 1
-                    ptr += 1
-                pops[j, state] += 1
+        for j, t_check in enumerate(checkpoints):
+            seen = np.bincount(owners[times <= t_check], minlength=n)
+            state = np.where(seen > 0, after[offsets[:-1] + seen - 1],
+                             ens.initial)
+            pops[j] = np.bincount(state, minlength=2)
         pops /= n
         for j, t_check in enumerate(checkpoints):
             rho_t = propagate(gen, np.diag(p0).astype(complex), t_check)
@@ -444,8 +445,21 @@ GOLDEN_CASES = {
 }
 
 
+def jump_owners(offsets):
+    """The trajectory index of each jump of the event columns."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def event_lists(ens):
+    """Per trajectory, the tuple of its (t, k) jumps, from the columns."""
+    offsets, times, channels = (a.tolist() for a in ens.events)
+    return [tuple(zip(times[a:b], channels[a:b]))
+            for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def ensemble_digests(ens):
-    """SHA-256 of every per-trajectory array as raw bytes, and of events."""
+    """SHA-256 of every per-trajectory array as raw bytes, and of events:
+    per trajectory its jump count (int64), times and channels."""
     fields = {"initial": ens.initial, "final": ens.final,
               "entropy_production": ens.entropy_production}
     for tag in sorted(ens.heat):
@@ -454,11 +468,12 @@ def ensemble_digests(ens):
     out = {name: hashlib.sha256(np.ascontiguousarray(arr).tobytes())
            .hexdigest() for name, arr in fields.items()}
     if ens.events is not None:
+        offsets, times, channels = ens.events
         h = hashlib.sha256()
-        for ev in ens.events:
-            h.update(np.int64(len(ev)).tobytes())
-            h.update(np.array([t for t, _ in ev], dtype=np.float64).tobytes())
-            h.update(np.array([k for _, k in ev], dtype=np.int64).tobytes())
+        for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            h.update(np.int64(b - a).tobytes())
+            h.update(times[a:b].tobytes())
+            h.update(channels[a:b].tobytes())
         out["events"] = h.hexdigest()
     return out
 
@@ -588,8 +603,21 @@ class TestUnravelGolden:
         assert ensemble_digests(ens) == GOLDEN_DIGESTS[name]
         assert ens.initial.dtype == ens.final.dtype == np.int64
         if ens.events is not None:
-            assert all(type(t) is float and type(k) is int
-                       for ev in ens.events for t, k in ev)
+            offsets, times, channels = ens.events
+            assert offsets.dtype == channels.dtype == np.int64
+            assert times.dtype == np.float64
+            assert offsets.shape == (len(ens) + 1,)
+            assert times.shape == channels.shape == (offsets[-1],)
+            assert offsets[0] == 0 and np.all(np.diff(offsets) >= 0)
+
+    def test_no_jumps_gives_empty_columns(self):
+        # at tau = 0 every trajectory ends before its first jump
+        gen, ledger = single_dot_generator(biased_dot_params())
+        ens = unravel(gen, ledger, np.array([0.5, 0.5]), 0.0, 3, 50)
+        offsets, times, channels = ens.events
+        assert offsets.tobytes() == np.zeros(51, dtype=np.int64).tobytes()
+        assert times.dtype == np.float64 and channels.dtype == np.int64
+        assert times.shape == channels.shape == (0,)
 
     def test_chunking_does_not_change_ensemble(self, monkeypatch):
         gen, ledger = single_dot_generator(biased_dot_params())
@@ -619,25 +647,42 @@ class TestUnravelGolden:
         for tag in big.heat:
             assert np.array_equal(big.heat[tag][:777], small.heat[tag])
             assert np.array_equal(big.work[tag][:777], small.work[tag])
-        assert big.events[:777] == small.events
+        offsets, times, channels = small.events
+        assert np.array_equal(big.events[0][:778], offsets)
+        assert big.events[1][:offsets[-1]].tobytes() == times.tobytes()
+        assert np.array_equal(big.events[2][:offsets[-1]], channels)
 
 
-def test_unravel_working_memory_is_bounded():
-    # the trajectories_ft ensemble: besides its outputs, unravel holds
-    # only the survivors of a block and one slice's working arrays
+def traced_unravel(record_events):
+    """The trajectories_ft ensemble, and the tracemalloc peak of ``unravel``
+    beyond its outputs other than the event columns."""
     gen, ledger = single_dot_generator(biased_dot_params())
     p0 = np.real(np.diag(steady_state(gen)))
-    n_traj = 100_000
     tracemalloc.start()
     try:
-        ens = unravel(gen, ledger, p0, 2.0, 42, n_traj, record_events=False)
+        ens = unravel(gen, ledger, p0, 2.0, 42, 100_000,
+                      record_events=record_events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for a in (
         ens.initial, ens.final, ens.entropy_change,
         ens.entropy_production, *ens.heat.values(), *ens.work.values()))
-    assert peak - held <= 40 * n_traj
+    return ens, peak - held
+
+
+def test_unravel_working_memory_is_bounded():
+    # besides its outputs, unravel holds only the survivors of a block and
+    # one slice's working arrays
+    ens, extra = traced_unravel(False)
+    assert extra <= 40 * len(ens)
+
+
+def test_recorded_events_memory_is_bounded():
+    # the columns take 8 B per trajectory and 16 B per jump; building them
+    # adds the per-move arrays and one sort order (135136 jumps here)
+    ens, extra = traced_unravel(True)
+    assert extra <= 40 * len(ens) + 64 * ens.events[1].size
 
 
 def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
@@ -647,9 +692,7 @@ def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
     Returns (initial, final, heat, work, events) with heat and work as
     (reservoir, trajectory) arrays in ``gen.reservoirs()`` order.
     """
-    _, moves, _ = trajectories._population_structure(gen, ledger)
-    reservoirs, tables, quanta = trajectories._state_tables(gen, ledger,
-                                                            moves)
+    _, _, reservoirs, tables, quanta = trajectories._jump_tables(gen, ledger)
     totals, cum, targets, channels = (a.tolist() for a in tables)
     res_idx, dq, dw = (a.tolist() for a in quanta)
     cum_p0 = np.cumsum(p0 / p0.sum()).tolist()
@@ -703,7 +746,7 @@ class TestUnravelMatchesScalarReference:
         for r, tag in enumerate(gen.reservoirs()):
             assert np.array_equal(ens.heat[tag], heat[r])
             assert np.array_equal(ens.work[tag], work[r])
-        assert ens.events == events
+        assert event_lists(ens) == events
 
 
 def closed_generator(dim, n_res, seed, absorbing):
@@ -766,7 +809,7 @@ def test_unravel_matches_scalar_reference_on_random_generators(
     for r, tag in enumerate(gen.reservoirs()):
         assert ens.heat[tag].tobytes() == heat[r].tobytes()
         assert ens.work[tag].tobytes() == work[r].tobytes()
-    assert ens.events == events
+    assert event_lists(ens) == events
 
 
 def test_waiting_time_log_is_libm_log():
