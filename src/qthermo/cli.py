@@ -2,8 +2,11 @@
 
 Reads a strictly-parsed JSON config, dispatches model / counting /
 trajectory computations, and writes machine-readable result tables
-(CSV or JSON) atomically. Exit codes: 0 success, 2 config error,
-3 numerical failure (any non-finite value aborts).
+(CSV or JSON) atomically. Exit codes: 0 success; 2 config error, any
+``ValueError`` (invalid or inconsistent inputs); 3 numerical failure, a
+``qcore.NumericalError`` or ``LinAlgError`` (valid inputs, but a
+computation missed its contract; any non-finite cell is one). Any other
+exception is a bug and propagates with its traceback.
 
 A table is built as columns. One step turns every cell into an int
 (bools become 0 and 1), a finite float or a str, for both formats: CSV
@@ -45,6 +48,7 @@ from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
                      single_dot_generator, stack_sweep)
 from .models.fridge import product_gibbs_state
 from .models.single_dot import engine_efficiency, regime_from_currents
+from .qcore import NumericalError
 from .thermo import ReservoirSpec
 from .trajectories import (TPMProtocol, backward_ensemble, backward_protocol,
                            ft_estimators, tpm_distribution, tpm_sample,
@@ -60,10 +64,6 @@ SEED_MAX = 2**64 - 2
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericalFailure(RuntimeError):
     pass
 
 
@@ -176,10 +176,10 @@ def _reservoir(cfg, where, statistics="fermionic"):
 # one sequence of cells per column.
 # ---------------------------------------------------------------------------
 
-def _fermionic(p, tags):
-    """Fermionic reservoirs from the params T_<tag>, mu_<tag>, kappa_<tag>."""
+def _reservoirs(p, tags, statistics):
+    """Reservoirs from the params T_<tag>, mu_<tag>, kappa_<tag>."""
     return {tag: ReservoirSpec(float(_need(p, f"T_{tag}", "params")),
-                               float(_opt(p, f"mu_{tag}", 0.0)), "fermionic",
+                               float(_opt(p, f"mu_{tag}", 0.0)), statistics,
                                float(_need(p, f"kappa_{tag}", "params")))
             for tag in tags}
 
@@ -187,7 +187,7 @@ def _fermionic(p, tags):
 def _dot_params(p, keys, tags):
     _check_keys(p, keys, "params")
     return SingleDotParams(float(_need(p, "eps_d", "params")),
-                           _fermionic(p, tags))
+                           _reservoirs(p, tags, "fermionic"))
 
 
 def _steps(p, default):
@@ -210,7 +210,7 @@ def _engine_table(params, seed):
     (j_c, p_c), (j_h, p_h) = currents["c"], currents["h"]
     eta = [engine_efficiency(p) for p in params]
     if None in eta:
-        raise NumericalFailure("efficiency undefined at eps_d = mu_h")
+        raise NumericalError("efficiency undefined at eps_d = mu_h")
     regime = [regime_from_currents({"c": (jc, pc), "h": (jh, ph)})
               for jc, pc, jh, ph in zip(j_c, p_c, j_h, p_h)]
     return (["P", "J_c", "J_h", "eta", "regime"],
@@ -226,7 +226,7 @@ def _double_dot_params(p):
     _check_keys(p, _DOUBLE_DOT_KEYS, "params")
     return DoubleDotParams(
         float(_need(p, "eps", "params")), float(_need(p, "g", "params")),
-        _fermionic(p, "LR"), mode=_opt(p, "mode", "local", str))
+        _reservoirs(p, "LR", "fermionic"), mode=_opt(p, "mode", "local", str))
 
 
 def _double_dot_table(params, seed):
@@ -247,11 +247,7 @@ def _fridge_params(p):
     params = FridgeParams(
         float(_need(p, "eps_c", "params")),
         float(_need(p, "eps_h", "params")),
-        float(_need(p, "g", "params")),
-        {tag: ReservoirSpec(float(_need(p, f"T_{tag}", "params")), 0.0,
-                            "bosonic",
-                            float(_need(p, f"kappa_{tag}", "params")))
-         for tag in ("c", "h", "r")},
+        float(_need(p, "g", "params")), _reservoirs(p, "chr", "bosonic"),
         None if eps_r is None else float(eps_r))
     t_max = float(_opt(p, "t_max", 0.0))
     if t_max < 0:
@@ -467,14 +463,15 @@ def _table(cfg):
 def _first_failure(table_fn, points):
     """``table_fn(points)``, or the error of the first failing point.
 
-    When the batch fails, each point runs again on its own, in sweep
-    order, and the first that fails raises its own error: the one a
-    point-by-point run stops at. When every point passes on its own, the
-    batch's error belongs to no point and is raised as it is.
+    When the batch raises a ``NumericalError`` or ``ValueError``, each
+    point runs again on its own, in sweep order, and the first that fails
+    raises its own error: the one a point-by-point run stops at. When
+    every point passes on its own, the batch's error belongs to no point
+    and is raised as it is. Any other error is a bug and is not rerun.
     """
     try:
         return table_fn(points)
-    except Exception:
+    except (NumericalError, ValueError):
         for point in points:
             table_fn([point])
         raise
@@ -489,14 +486,14 @@ def _cells(names, units, columns):
     cells, for CSV and JSON alike.
 
     Columns that do not match the names and units one to one, differ in
-    length or hold other cells raise ``NumericalFailure``, as does a
+    length or hold other cells raise ``NumericalError``, as does a
     non-finite float: the first in row-major order is named.
     """
     arrays = [np.asarray(column) for column in columns]
     if len(arrays) != len(names) or len(units) != len(names) or any(
             a.ndim != 1 or a.shape != arrays[0].shape
             or a.dtype.kind not in "biufU" for a in arrays):
-        raise NumericalFailure(
+        raise NumericalError(
             f"a table of {len(names)} names and {len(units)} units has "
             f"columns {[(a.dtype.str, a.shape) for a in arrays]}")
     finite = {j: np.isfinite(a) for j, a in enumerate(arrays)
@@ -504,8 +501,8 @@ def _cells(names, units, columns):
     bad = [(int(np.argmin(ok)), j) for j, ok in finite.items() if not ok.all()]
     if bad:
         i, j = min(bad)
-        raise NumericalFailure(f"non-finite value {arrays[j][i].item()!r} "
-                               f"at row {i}, column {j}")
+        raise NumericalError(f"non-finite value {arrays[j][i].item()!r} "
+                             f"at row {i}, column {j}")
     return [(a.astype(int) if a.dtype.kind == "b" else a).tolist()
             for a in arrays]
 
@@ -606,11 +603,10 @@ def main(argv=None):
         validate(args.config)
         return EXIT_OK
     # LinAlgError is a ValueError, so the numerical clause comes first
-    except (NumericalFailure, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -24,13 +24,13 @@ from typing import Mapping, Tuple
 import numpy as np
 import scipy.linalg
 
-from .qcore import (KB, eig_general, expm_dense, raise_first_failure,
-                    trace_vector, vectorize)
+from .qcore import (KB, NumericalError, eig_general, expm_dense,
+                    raise_first_failure, trace_vector, vectorize)
 from .lindblad import build_liouvillian, in_chunks
 
 
-class CountingError(RuntimeError):
-    pass
+class CountingError(NumericalError):
+    """A counting computation missed its numerical contract."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class CountingConfig:
         for f in self.fields:
             if f.name == name:
                 return f
-        raise KeyError(name)
+        raise ValueError(f"unknown counting field {name!r}")
 
     @staticmethod
     def particle(gen, reservoir, name=None):
@@ -64,8 +64,8 @@ class CountingConfig:
             float(ch.particle_quantum) if ch.reservoir == reservoir else 0.0
             for ch in gen.channels)
         if all(w == 0.0 for w in weights):
-            raise CountingError(f"no counted transitions for reservoir "
-                                f"{reservoir!r}")
+            raise ValueError(f"no counted transitions for reservoir "
+                             f"{reservoir!r}")
         return CountingConfig((CountingField(name or f"n_{reservoir}",
                                              weights),))
 
@@ -97,7 +97,7 @@ def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
     """
     unknown = set(values) - {f.name for f in cfg.fields}
     if unknown:
-        raise CountingError(f"unknown counting fields {sorted(unknown)}")
+        raise ValueError(f"unknown counting fields {sorted(unknown)}")
     phases = np.zeros(len(gen.channels), dtype=complex)
     for f in cfg.fields:
         chi = values.get(f.name, 0.0)
@@ -218,8 +218,6 @@ def cumulants(gen, cfg, name, max_order=4):
     factorisation and the solves are stacked, each point keeping its
     bits, and each ``value`` has the batch shape.
     """
-    if name not in {f.name for f in cfg.fields}:
-        raise CountingError(f"unknown counting field {name!r}")
     lams = in_chunks(_cumulants, gen, cfg.field(name).weights, max_order)
     return [CumulantReport(m, lams[..., m - 1].real)
             for m in range(1, max_order + 1)]

@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .qcore import (KB, TOL_COMMUTE, TOL_HERM, TOL_PSD_STEADY,
+from .qcore import (KB, TOL_COMMUTE, TOL_HERM, TOL_PSD_STEADY, NumericalError,
                     commutator_superop, dagger, dissipate, dissipator_apply,
                     dissipator_superop, expm_dense, hermitize, is_hermitian,
                     kron, raise_first_failure, unvectorize, vectorize)
@@ -79,7 +79,7 @@ TOL_TRACELESS = 1e-12
 TOL_LDB = 1e-8
 
 
-class MultistabilityError(RuntimeError):
+class MultistabilityError(NumericalError):
     """The Liouvillian kernel is not one-dimensional."""
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
                         build_liouvillian, propagate, steady_state)
-from ..qcore import dagger, expm_dense, kron, vectorize
+from ..qcore import NumericalError, dagger, expm_dense, kron, vectorize
 from ..thermo import (ReservoirSpec, bose_einstein, effective_temperature,
                       fermi_dirac, gibbs_state)
 from .common import IDENT2, LOWER, stack_sweep
@@ -180,7 +180,7 @@ def fridge_sweep_observables(sweep):
         bound = TOL_CURRENT_CONSISTENCY * max(abs(amp) * params.eps_r, 1.0)
         for tag in ("c", "h", "r"):
             if abs(currents[tag][i] - structural[tag]) > bound:
-                raise RuntimeError(
+                raise NumericalError(
                     f"bookkeeping J_{tag} = {currents[tag][i]} disagrees with "
                     f"structural value {structural[tag]}")
         theta = (effective_temperature(occs[i], params.eps_c)
@@ -257,8 +257,8 @@ def fridge_switchoff_protocol(params, horizon_periods=3.0):
     """Locate the first transient minimum of the cold-qubit temperature.
 
     Coarse scan at step 0.01/g, golden-section refinement to T_MIN_WIDTH/g.
-    Returns (t_min, theta_min, theta_ss). Raises RuntimeError when no
-    interior minimum exists within ``horizon_periods`` exchange periods
+    Returns (t_min, theta_min, theta_ss). Raises ``NumericalError`` when
+    no interior minimum exists within ``horizon_periods`` exchange periods
     (e.g. when delta_n <= 0 and the occupation never dips).
     """
     if params.g <= 0:
@@ -279,7 +279,7 @@ def fridge_switchoff_protocol(params, horizon_periods=3.0):
             interior = j
             break
     if interior is None:
-        raise RuntimeError("no occupation minimum found within the horizon")
+        raise NumericalError("no occupation minimum found within the horizon")
     t_min, occ_min = _golden_section_min(
         occupation_at, times[interior - 1], times[interior + 1],
         T_MIN_WIDTH / params.g)

@@ -38,7 +38,11 @@ TOL_EIG_RESIDUAL = 1e-8   # max_j |M v_j - v_j nu_j| <= TOL * ||M||
 TOL_COMMUTE = 1e-9        # max|[H, N]| of Hamiltonian and number operator
 
 
-class EigenvalueError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Valid inputs, but a computation missed its numerical contract."""
+
+
+class EigenvalueError(NumericalError):
     """Eigen-decomposition failed or did not meet its residual contract."""
 
 

@@ -337,10 +337,6 @@ class CrooksReport:
     log_ratio: np.ndarray
     skipped_bins: int
 
-    @property
-    def slope_deviation_sigma(self):
-        return abs(self.slope - self.slope_expected) / self.slope_stderr
-
 
 def _wls_line(x, y, var):
     w = 1.0 / var

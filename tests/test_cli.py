@@ -352,6 +352,43 @@ class TestSweepFailures:
             "numerical failure: batch of more than one point\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("bug", [NotImplementedError, TypeError])
+    def test_programming_error_propagates_unrerun(self, tmp_path,
+                                                  monkeypatch, bug):
+        # neither a ValueError nor a NumericalError: a bug is raised once,
+        # from the whole batch, and shows its traceback, not an exit code
+        batches = []
+
+        def table(points, seed):
+            batches.append(len(points))
+            raise bug("not a table")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "heat-engine",
+                            (cli._engine_params, table, table))
+        with pytest.raises(bug, match="not a table"):
+            main(["run", engine_config(tmp_path)])
+        assert batches == [9]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fridge_bookkeeping_failure_is_numerical(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a negative bound fails the ledger-against-structure check at the
+        # first point and first reservoir
+        monkeypatch.setattr("qthermo.models.fridge.TOL_CURRENT_CONSISTENCY",
+                            -1.0)
+        path = write_config(tmp_path / "abs.json", {
+            "experiment": "absorption",
+            "params": {"eps_c": 0.3, "eps_h": 1.0, "g": 0.05, "T_c": 0.4,
+                       "T_r": 1.0, "T_h": 2.0, "kappa_c": 0.02,
+                       "kappa_h": 0.03, "kappa_r": 0.025},
+            "sweep": {"name": "eps_c", "start": 0.2, "stop": 0.45,
+                      "steps": 6},
+            "output": {"path": str(tmp_path / "abs.csv"), "format": "csv"}})
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: bookkeeping J_c = ")
+        assert not (tmp_path / "abs.csv").exists()
+
 
 class TestOtherExperiments:
     def test_double_dot_sweep(self, tmp_path):

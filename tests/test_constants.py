@@ -1,19 +1,26 @@
-"""Module constants: each is read by the package, and the README's
-"Numerical contracts" table gives each contract its value in the code.
+"""Module constants and error classes of the package.
 
-A constant is a module-level assignment to an UPPER_CASE name (a leading
-underscore allowed). It counts as read when the name is loaded, or
-accessed as an attribute, anywhere in ``src/qthermo``; reads from the
-tests do not count. A tolerance that nothing reads states a contract
-that nothing checks.
+Each module constant is read by the package, and the README's "Numerical
+contracts" table gives each contract its value in the code. A constant is
+a module-level assignment to an UPPER_CASE name (a leading underscore
+allowed). It counts as read when the name is loaded, or accessed as an
+attribute, anywhere in ``src/qthermo``; reads from the tests do not
+count. A tolerance that nothing reads states a contract that nothing
+checks.
+
+Each exception the package builds follows the one error rule: it is a
+``ValueError`` (invalid inputs) or a ``qcore.NumericalError`` (valid
+inputs, failed numerics), never both.
 """
 
 import ast
+import builtins
 import importlib
 import pathlib
 import re
 
 import qthermo
+from qthermo.qcore import NumericalError
 
 PACKAGE = pathlib.Path(qthermo.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -59,3 +66,39 @@ def test_contract_table_matches_the_code():
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"qthermo.{module}"),
                        name) == float(value), (module, name)
+
+
+def called_exception_classes(module, tree):
+    """(line, name, class) of every call in the module's source whose
+    dotted name resolves, in the module's namespace, to an exception."""
+    namespace = vars(importlib.import_module(module))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        obj = namespace.get(func.id, getattr(builtins, func.id, None))
+        for attr in parts:
+            obj = getattr(obj, attr, None)
+        if (isinstance(obj, type) and issubclass(obj, BaseException)
+                and not issubclass(obj, Warning)):
+            found.append((node.lineno, ".".join([func.id, *parts]), obj))
+    return found
+
+
+def test_every_raised_error_is_input_or_numerical():
+    sites, wrong = 0, []
+    for path, tree in module_trees().items():
+        module = "qthermo." + path[:-3].replace("/", ".").removesuffix(
+            ".__init__")
+        for line, name, cls in called_exception_classes(module, tree):
+            sites += 1
+            if issubclass(cls, ValueError) == issubclass(cls, NumericalError):
+                wrong.append(f"{path}:{line} {name}")
+    assert sites > 100
+    assert wrong == []

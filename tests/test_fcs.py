@@ -92,14 +92,16 @@ class TestCountingLiouvillian:
 
     def test_unknown_field_rejected(self):
         gen, cfg, _ = high_bias_dot(1.0, 1.0)
-        with pytest.raises(CountingError):
+        with pytest.raises(ValueError,
+                           match=r"unknown counting fields \['nope'\]"):
             counting_liouvillian(gen, cfg, {"nope": 1.0})
-        with pytest.raises(CountingError):
+        with pytest.raises(ValueError, match="unknown counting field 'nope'"):
             cumulants(gen, cfg, "nope")
 
     def test_uncounted_reservoir_rejected(self):
         gen, _, _ = high_bias_dot(1.0, 1.0)
-        with pytest.raises(CountingError):
+        with pytest.raises(ValueError,
+                           match="no counted transitions for reservoir 'X'"):
             CountingConfig.particle(gen, "X")
 
 

@@ -11,6 +11,7 @@ from qthermo.models import (FridgeParams, fridge_coherent_transient,
 from qthermo.models.fridge import (cooling_window_boundary,
                                    exchange_amplitude, occupation_imbalance,
                                    product_gibbs_state)
+from qthermo.qcore import NumericalError
 from qthermo.thermo import ReservoirSpec
 
 
@@ -222,5 +223,5 @@ class TestCoherentTransient:
         p = fridge(eps_c=1.5 * boundary, eps_h=1.0, g=0.05,
                    kc=0.005, kh=0.005, kr=0.005)
         assert occupation_imbalance(p) < 0
-        with pytest.raises(RuntimeError):
+        with pytest.raises(NumericalError, match="no occupation minimum"):
             fridge_switchoff_protocol(p, horizon_periods=0.45)
