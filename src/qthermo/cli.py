@@ -160,12 +160,12 @@ def load_config(path):
             "output": {"path": out_path, "format": out_format}, "seed": seed}
 
 
-def _reservoir(cfg, where, statistics="fermionic"):
+def _reservoir(cfg, where):
     _check_keys(cfg, {"temperature", "chemical_potential", "coupling"}, where)
     return ReservoirSpec(
         temperature=float(_need(cfg, "temperature", where)),
         chemical_potential=float(_opt(cfg, "chemical_potential", 0.0)),
-        statistics=statistics,
+        statistics="fermionic",
         coupling=float(_need(cfg, "coupling", where)))
 
 
@@ -223,10 +223,17 @@ _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
 
 
 def _double_dot_params(p):
+    # the tables are closed forms of the local mode with both dots coupled
     _check_keys(p, _DOUBLE_DOT_KEYS, "params")
+    if _opt(p, "mode", "local", str) != "local":
+        raise ConfigError(f"params.mode must be 'local', got {p['mode']!r}")
+    reservoirs = _reservoirs(p, "LR", "fermionic")
+    for tag, res in reservoirs.items():
+        if res.coupling == 0.0:
+            raise ConfigError(f"params.kappa_{tag} must be > 0")
     return DoubleDotParams(
         float(_need(p, "eps", "params")), float(_need(p, "g", "params")),
-        _reservoirs(p, "LR", "fermionic"), mode=_opt(p, "mode", "local", str))
+        reservoirs)
 
 
 def _double_dot_table(params, seed):

@@ -58,16 +58,15 @@ class CountingConfig:
         raise ValueError(f"unknown counting field {name!r}")
 
     @staticmethod
-    def particle(gen, reservoir, name=None):
-        """Count net particles entering ``reservoir`` (weight = n per jump)."""
+    def particle(gen, reservoir):
+        """Field ``n_<reservoir>``: net particles entering ``reservoir``."""
         weights = tuple(
             float(ch.particle_quantum) if ch.reservoir == reservoir else 0.0
             for ch in gen.channels)
         if all(w == 0.0 for w in weights):
             raise ValueError(f"no counted transitions for reservoir "
                              f"{reservoir!r}")
-        return CountingConfig((CountingField(name or f"n_{reservoir}",
-                                             weights),))
+        return CountingConfig((CountingField(f"n_{reservoir}", weights),))
 
     @staticmethod
     def heat_and_work(gen, ledger):
@@ -280,9 +279,9 @@ def tur_audit(mean_current, variance_rate, sigma_dot):
     ratio >= bound. Provable for classical Markov dynamics; reported, not
     enforced, since quantum-coherent generators may violate it. At
     Sigma_dot <= 0 the bound is infinite and ``satisfied`` is None. A
-    zero mean current raises :class:`CountingError`.
+    mean current whose square is 0 raises :class:`CountingError`.
     """
-    if mean_current == 0.0:
+    if mean_current ** 2 == 0.0:
         raise CountingError("TUR audit needs a nonzero mean current")
     ratio = variance_rate / mean_current ** 2
     if sigma_dot <= 0.0:

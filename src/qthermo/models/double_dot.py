@@ -44,15 +44,14 @@ class DoubleDotParams:
     """Equal on-site energy eps, tunneling g, reservoirs tagged "L"/"R".
 
     Validity warnings (never errors): local mode wants
-    g <= margin * max(k_B T_a, |eps - mu_a|); secular mode wants
-    kappa_a <= margin * g.
+    g <= DOUBLE_DOT_MARGIN * max(k_B T_a, |eps - mu_a|); secular mode
+    wants kappa_a <= DOUBLE_DOT_MARGIN * g.
     """
 
     eps: float
     g: float
     reservoirs: Mapping[str, ReservoirSpec]
     mode: str = "local"
-    margin: float = DOUBLE_DOT_MARGIN
 
     def __post_init__(self):
         object.__setattr__(self, "reservoirs", dict(self.reservoirs))
@@ -67,10 +66,10 @@ class DoubleDotParams:
                 scale = max(res.temperature,
                             abs(self.eps - res.chemical_potential))
                 warn_margin("local master equation, interdot tunneling",
-                            self.g, scale, self.margin)
+                            self.g, scale, DOUBLE_DOT_MARGIN)
             else:
                 warn_margin(f"secular approximation, reservoir {tag!r} coupling",
-                            res.coupling, self.g, self.margin)
+                            res.coupling, self.g, DOUBLE_DOT_MARGIN)
 
 
 def hamiltonian(params):
@@ -232,8 +231,10 @@ def heat_current_closed_form(params):
 
 def critical_heat_current(params):
     """Entanglement threshold for |J_R|; the state is entangled iff
-    |J_R| >= J_crit."""
+    |J_R| >= J_crit. Needs kappa_L kappa_R > 0."""
     nf_l, nf_r, k_l, k_r = _local_inputs(params)
+    if k_l * k_r == 0.0:
+        raise ValueError("critical heat current needs kappa_L kappa_R > 0")
     g = params.g
     mu_r = params.reservoirs["R"].chemical_potential
     nbar = (k_l * nf_l + k_r * nf_r) / (k_l + k_r)

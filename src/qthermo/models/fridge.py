@@ -33,8 +33,10 @@ _NUM = {tag: dagger(op) @ op for tag, op in
 
 # Bookkeeping against structural currents, relative to max(|I| eps_r, 1).
 TOL_CURRENT_CONSISTENCY = 1e-9
-# Bracket width of the golden-section search for t_min, in units of 1/g.
+# Bracket width of the golden-section search for t_min, in units of 1/g,
+# and the horizon of its coarse scan, in exchange periods pi/g.
 T_MIN_WIDTH = 1e-10
+T_MIN_HORIZON_PERIODS = 3.0
 
 
 @dataclass(frozen=True)
@@ -253,12 +255,12 @@ def _golden_section_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def fridge_switchoff_protocol(params, horizon_periods=3.0):
+def fridge_switchoff_protocol(params):
     """Locate the first transient minimum of the cold-qubit temperature.
 
     Coarse scan at step 0.01/g, golden-section refinement to T_MIN_WIDTH/g.
     Returns (t_min, theta_min, theta_ss). Raises ``NumericalError`` when
-    no interior minimum exists within ``horizon_periods`` exchange periods
+    no interior minimum exists within T_MIN_HORIZON_PERIODS periods pi/g
     (e.g. when delta_n <= 0 and the occupation never dips).
     """
     if params.g <= 0:
@@ -269,7 +271,7 @@ def fridge_switchoff_protocol(params, horizon_periods=3.0):
     def occupation_at(t):
         return float(np.trace(_NUM["c"] @ propagate(gen, rho0, t)).real)
 
-    horizon = horizon_periods * math.pi / params.g
+    horizon = T_MIN_HORIZON_PERIODS * math.pi / params.g
     step = 0.01 / params.g
     n_coarse = int(horizon / step) + 1
     times, occs, _ = fridge_coherent_transient(params, horizon, n_coarse)

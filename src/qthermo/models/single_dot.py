@@ -7,7 +7,7 @@ a temperature bias into chemical work.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
@@ -24,13 +24,12 @@ STOPPING_VOLTAGE_WIDTH = 1e-13
 class SingleDotParams:
     """Dot level eps_d plus one or two fermionic reservoirs (by tag).
 
-    Emits a ValidityWarning when kappa > margin * max(k_B T, |eps_d - mu|)
-    for any reservoir (weak-coupling sanity, not an error).
+    Emits a ValidityWarning when kappa > BORN_MARKOV_MARGIN *
+    max(k_B T, |eps_d - mu|) for any reservoir (weak coupling; no error).
     """
 
     eps_d: float
     reservoirs: Mapping[str, ReservoirSpec]
-    margin: float = BORN_MARKOV_MARGIN
 
     def __post_init__(self):
         object.__setattr__(self, "reservoirs", dict(self.reservoirs))
@@ -42,7 +41,7 @@ class SingleDotParams:
             scale = max(res.temperature,
                         abs(self.eps_d - res.chemical_potential))
             warn_margin(f"reservoir {tag!r} coupling", res.coupling, scale,
-                        self.margin)
+                        BORN_MARKOV_MARGIN)
 
 
 def single_dot_generator(params):
@@ -89,9 +88,12 @@ def _engine_reservoirs(params):
 
 def engine_steady_power(params):
     """Steady output power kc kh/(kc+kh) (mu_c - mu_h) (n_F^h - n_F^c)."""
-    cold, hot = _engine_reservoirs(params)
-    nf_c = fermi_dirac(params.eps_d, cold)
-    nf_h = fermi_dirac(params.eps_d, hot)
+    return _steady_power(params.eps_d, *_engine_reservoirs(params))
+
+
+def _steady_power(eps_d, cold, hot):
+    nf_c = fermi_dirac(eps_d, cold)
+    nf_h = fermi_dirac(eps_d, hot)
     kc, kh = cold.coupling, hot.coupling
     return (kc * kh / (kc + kh)
             * (cold.chemical_potential - hot.chemical_potential)
@@ -166,13 +168,8 @@ def stopping_voltage(params):
     cold, hot = _engine_reservoirs(params)
 
     def p_of(mu_c):
-        trial = SingleDotParams(
-            params.eps_d,
-            {"c": ReservoirSpec(cold.temperature, mu_c, "fermionic",
-                                cold.coupling),
-             "h": hot},
-            margin=math.inf)
-        return engine_steady_power(trial)
+        return _steady_power(params.eps_d,
+                             replace(cold, chemical_potential=mu_c), hot)
 
     lo, hi = hot.chemical_potential, params.eps_d
     f_lo, f_hi = p_of(lo), p_of(hi)

@@ -100,10 +100,9 @@ def check_density_matrix(rho):
     return rho
 
 
-def random_density_matrix(dim, rng, rank=None):
+def random_density_matrix(dim, rng):
     """Random full-rank density matrix from a Ginibre ensemble."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 

@@ -64,8 +64,11 @@ TOL_CLOSURE = 1e-10
 TOL_JUMP_SUPPORT = 1e-9
 # Initial populations may dip to -TOL_POPULATION (then clipped to 0).
 TOL_POPULATION = 1e-12
-# ft_estimators: Sigma values equal to this many decimals are one atom
+# ft_estimators: Sigma values equal to this many decimals are one atom; it
+# bins above FT_MAX_ATOMS atoms; a fit point needs FT_MIN_COUNT per side
 ATOM_DECIMALS = 9
+FT_MAX_ATOMS = 20000
+FT_MIN_COUNT = 10
 
 
 class PopulationClosureError(ValueError):
@@ -338,8 +341,11 @@ class CrooksReport:
     skipped_bins: int
 
 
-def _wls_line(x, y, var):
-    w = 1.0 / var
+def _log_ratio_line(x, nf, nb, n_forward, n_backward):
+    """y = ln[(n_b/N_b)/(n_f/N_f)] per point, and the weighted least-squares
+    line of y against x with the log-ratio variance 1/n_f + 1/n_b."""
+    y = np.log((nb / n_backward) / (nf / n_forward))
+    w = 1.0 / (1.0 / nf + 1.0 / nb)
     sw = w.sum()
     xm = (w * x).sum() / sw
     ym = (w * y).sum() / sw
@@ -348,41 +354,38 @@ def _wls_line(x, y, var):
     intercept = ym - slope * xm
     slope_err = math.sqrt(1.0 / sxx)
     intercept_err = math.sqrt(1.0 / sw + xm ** 2 / sxx)
-    return slope, slope_err, intercept, intercept_err
+    return y, slope, slope_err, intercept, intercept_err
 
 
-def crooks_check(forward_work, backward_work, beta, delta_f, bins=20):
+def _binned(forward, backward, edges):
+    """Counts of both samples in shared bins, and the forward centroids."""
+    nf, _ = np.histogram(forward, bins=edges)
+    nb, _ = np.histogram(backward, bins=edges)
+    sums, _ = np.histogram(forward, bins=edges, weights=forward)
+    centers = np.where(nf > 0, sums / np.maximum(nf, 1),
+                       0.5 * (edges[:-1] + edges[1:]))
+    return nf, nb, centers
+
+
+def crooks_check(forward_work, backward_work, beta, delta_f, edges):
     """Per-bin Crooks ratio ln[p~(-W)/p(W)] fitted against W.
 
     The expected line is -beta (W - DeltaF): slope -beta, intercept
-    beta DeltaF. Bin edges are shared between p(W) and p~(-W); bins
-    empty on either side are skipped and counted. The abscissa of each
-    bin is the centroid of the forward samples it holds (discrete work
-    spectra rarely sit at bin centers). Weighted least squares with the
-    usual 1/n_f + 1/n_b log-ratio variance.
+    beta DeltaF. The bin ``edges`` are shared between p(W) and p~(-W);
+    bins empty on either side are skipped and counted. The abscissa of
+    each bin is the centroid of the forward samples it holds (discrete
+    work spectra rarely sit at bin centers). Weighted least squares with
+    the usual 1/n_f + 1/n_b log-ratio variance.
     """
     fw = np.asarray(forward_work, dtype=float)
     bw = -np.asarray(backward_work, dtype=float)
-    if isinstance(bins, int):
-        lo = min(fw.min(), bw.min())
-        hi = max(fw.max(), bw.max())
-        pad = 1e-9 * max(hi - lo, 1.0)
-        edges = np.linspace(lo - pad, hi + pad, bins + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-    nf, _ = np.histogram(fw, bins=edges)
-    nb, _ = np.histogram(bw, bins=edges)
-    sums, _ = np.histogram(fw, bins=edges, weights=fw)
-    centers = np.where(nf > 0, sums / np.maximum(nf, 1),
-                       0.5 * (edges[:-1] + edges[1:]))
+    nf, nb, centers = _binned(fw, bw, np.asarray(edges, dtype=float))
     ok = (nf > 0) & (nb > 0)
     skipped = int(np.sum(~ok & ((nf > 0) | (nb > 0))))
     if ok.sum() < 2:
         raise ValueError("fewer than two usable bins for the Crooks fit")
-    ratio = (nb[ok] / bw.size) / (nf[ok] / fw.size)
-    y = np.log(ratio)
-    var = 1.0 / nf[ok] + 1.0 / nb[ok]
-    slope, slope_err, intercept, intercept_err = _wls_line(centers[ok], y, var)
+    y, slope, slope_err, intercept, intercept_err = _log_ratio_line(
+        centers[ok], nf[ok], nb[ok], fw.size, bw.size)
     return CrooksReport(slope, slope_err, intercept, intercept_err,
                         -beta, beta * delta_f, centers[ok], y, skipped)
 
@@ -715,7 +718,7 @@ class FTReport:
     detailed_inconclusive: bool
 
 
-def ft_estimators(forward, backward=None, min_count=10, max_atoms=20000):
+def ft_estimators(forward, backward=None):
     """Integral and detailed fluctuation-theorem estimators.
 
     Integral: <e^{-Sigma/k_B}> with standard error (consistent with 1).
@@ -724,9 +727,10 @@ def ft_estimators(forward, backward=None, min_count=10, max_atoms=20000):
     jump-trajectory Sigma values live on a lattice (finitely many jump
     counts and boundary states), the ratio is taken per distinct value
     (to ATOM_DECIMALS decimals), which avoids the aggregation bias of wide
-    histogram bins; only above ``max_atoms`` distinct values does the
-    estimator fall back to equal-width bins with forward-centroid
-    abscissae. Insufficient negative-Sigma statistics are reported as
+    histogram bins; only above FT_MAX_ATOMS distinct values does the
+    estimator fall back to 200 equal-width bins with forward-centroid
+    abscissae. A point enters the fit with FT_MIN_COUNT samples on each
+    side; insufficient negative-Sigma statistics are reported as
     inconclusive, never silently passed.
     """
     for ens in (forward, backward):
@@ -738,12 +742,11 @@ def ft_estimators(forward, backward=None, min_count=10, max_atoms=20000):
     stderr = float(x.std(ddof=1) / math.sqrt(x.size))
     frac_neg = float(np.mean(forward.entropy_production < 0.0))
     slope = slope_err = None
-    inconclusive = backward is None
     if backward is not None:
         sf = np.round(forward.entropy_production, ATOM_DECIMALS)
         sb = np.round(-backward.entropy_production, ATOM_DECIMALS)
         uf, cf = np.unique(sf, return_counts=True)
-        if uf.size <= max_atoms:
+        if uf.size <= FT_MAX_ATOMS:
             ub, cb = np.unique(sb, return_counts=True)
             pos = np.searchsorted(ub, uf)
             pos = np.minimum(pos, ub.size - 1)
@@ -751,19 +754,9 @@ def ft_estimators(forward, backward=None, min_count=10, max_atoms=20000):
             xs, nf = uf, cf
         else:  # continuous-looking Sigma: binned fallback
             lim = max(np.abs(sf).max(), np.abs(sb).max()) * (1 + 1e-9)
-            edges = np.linspace(-lim, lim, 201)
-            nf, _ = np.histogram(sf, bins=edges)
-            nb, _ = np.histogram(sb, bins=edges)
-            sums, _ = np.histogram(sf, bins=edges, weights=sf)
-            with np.errstate(invalid="ignore"):
-                xs = np.where(nf > 0, sums / np.maximum(nf, 1),
-                              0.5 * (edges[:-1] + edges[1:]))
-        ok = (nf >= min_count) & (nb >= min_count)
-        if ok.sum() < 2 or not np.any(xs[ok] < 0):
-            inconclusive = True
-        else:
-            ratio = (nb[ok] / sb.size) / (nf[ok] / sf.size)
-            var = 1.0 / nf[ok] + 1.0 / nb[ok]
-            slope, slope_err, _, _ = _wls_line(xs[ok], np.log(ratio), var)
-            inconclusive = False
-    return FTReport(est, stderr, frac_neg, slope, slope_err, inconclusive)
+            nf, nb, xs = _binned(sf, sb, np.linspace(-lim, lim, 201))
+        ok = (nf >= FT_MIN_COUNT) & (nb >= FT_MIN_COUNT)
+        if ok.sum() >= 2 and np.any(xs[ok] < 0):
+            _, slope, slope_err, _, _ = _log_ratio_line(
+                xs[ok], nf[ok], nb[ok], sf.size, sb.size)
+    return FTReport(est, stderr, frac_neg, slope, slope_err, slope is None)

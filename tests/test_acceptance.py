@@ -139,7 +139,7 @@ def _random_transient_generators(rng):
         eps = rng.uniform(0.5, 3.0)
         res = ReservoirSpec(rng.uniform(0.3, 2.0), rng.uniform(-1, 1),
                             "fermionic", rng.uniform(0.05, 0.5))
-        yield single_dot_generator(SingleDotParams(eps, {"B": res}, margin=math.inf)) + (2,)
+        yield single_dot_generator(SingleDotParams(eps, {"B": res})) + (2,)
     for _ in range(25):
         eps = rng.uniform(0.5, 3.0)
         res_c = ReservoirSpec(rng.uniform(0.2, 0.8), rng.uniform(-1, 1),
@@ -147,7 +147,7 @@ def _random_transient_generators(rng):
         res_h = ReservoirSpec(rng.uniform(0.9, 2.5), rng.uniform(-1, 1),
                               "fermionic", rng.uniform(0.05, 0.5))
         yield single_dot_generator(
-            SingleDotParams(eps, {"c": res_c, "h": res_h}, margin=math.inf)) + (2,)
+            SingleDotParams(eps, {"c": res_c, "h": res_h})) + (2,)
     for j in range(25):
         eps = rng.uniform(0.5, 3.0)
         mode = "local" if j % 2 == 0 else "secular"
@@ -157,7 +157,7 @@ def _random_transient_generators(rng):
                                "fermionic", rng.uniform(0.05, 0.4)),
             "R": ReservoirSpec(rng.uniform(0.3, 1.5), rng.uniform(-1, 1),
                                "fermionic", rng.uniform(0.05, 0.4))},
-            mode=mode, margin=math.inf)
+            mode=mode)
         yield double_dot_generator(params) + (4,)
     rng_local = np.random.default_rng(rng.integers(2 ** 32))
     for _ in range(25):
@@ -182,14 +182,12 @@ def test_criterion_4_second_law_everywhere(rng):
     eq_bos = ReservoirSpec(0.8, 0.0, "bosonic", 0.03)
     eq_gens = [
         single_dot_generator(SingleDotParams(1.3, {"B": eq_res})),
-        single_dot_generator(SingleDotParams(1.3, {"c": eq_res, "h": eq_res},
-                                             margin=math.inf)),
+        single_dot_generator(SingleDotParams(1.3, {"c": eq_res, "h": eq_res})),
         double_dot_generator(DoubleDotParams(1.3, 0.1, {"L": eq_res,
-                                                        "R": eq_res},
-                                             margin=math.inf)),
+                                                        "R": eq_res})),
         double_dot_generator(DoubleDotParams(1.3, 0.5, {"L": eq_res,
                                                         "R": eq_res},
-                                             mode="secular", margin=math.inf)),
+                                             mode="secular")),
         fridge_generator(FridgeParams(0.5, 0.9, 0.05, {
             "c": eq_bos, "h": eq_bos, "r": eq_bos})),
     ]
@@ -335,7 +333,7 @@ def test_criterion_8_jarzynski_crooks_desk_scale():
     mids = 0.5 * (values[:-1] + values[1:])
     edges = np.concatenate([[values[0] - 0.5], mids, [values[-1] + 0.5]])
     rep = crooks_check(samples.work, backward.work, beta,
-                       dist.delta_free_energy(), bins=edges)
+                       dist.delta_free_energy(), edges)
     assert abs(rep.slope - (-beta)) <= 3 * rep.slope_stderr
     record_criterion(8, True,
                      f"exact-enumeration Jarzynski gap {exact_gap:.1e} <= "
@@ -413,8 +411,7 @@ def test_criterion_11_oracle_equivalence(rng):
         params = DoubleDotParams(
             eps, rng.uniform(0.05, 0.5) * scale,
             {"L": ReservoirSpec(t_l, mu_l, "fermionic", rng.uniform(0.05, 0.6)),
-             "R": ReservoirSpec(t_r, mu_r, "fermionic", rng.uniform(0.05, 0.6))},
-            margin=math.inf)
+             "R": ReservoirSpec(t_r, mu_r, "fermionic", rng.uniform(0.05, 0.6))})
         gen, _ = double_dot_generator(params)
         dense = steady_state(gen)
         dev = np.max(np.abs(double_dot_state_closed_form(params) - dense))

@@ -336,6 +336,20 @@ class TestSweepFailures:
             "numerical failure: TUR audit needs a nonzero mean current\n"
         assert not (tmp_path / "fcs.csv").exists()
 
+    def test_underflowing_mean_current_is_numerical_failure(self, tmp_path,
+                                                            capsys):
+        # the committed fcs sweep at kappa_R = 1e-320: a mean current of
+        # that order, whose square underflows to 0
+        config = json.loads((CONFIGS / "fcs_biased_dot.json").read_text())
+        config["params"]["kappa_R"] = 1e-320
+        config["output"]["path"] = str(tmp_path / "fcs.csv")
+        path = write_config(tmp_path / "fcs.json", config)
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: TUR audit needs a nonzero mean current\n"
+        assert not (tmp_path / "fcs.csv").exists()
+
     def test_error_of_no_point_is_raised_as_is(self, tmp_path, capsys,
                                                monkeypatch):
         # the batch fails, but every point passes when it runs on its own
@@ -657,6 +671,8 @@ class TestValidate:
               "kappa_r": 0.005}
     TPM = {"eps0": 1.0, "angle": 0.9, "beta": 1.0, "tau": 0.7,
            "n_samples": 100}
+    DOUBLE_DOT = {"eps": 0.0, "g": 0.309, "T_L": 0.01, "T_R": 0.01,
+                  "mu_L": 2.0, "mu_R": -2.0, "kappa_L": 1.0, "kappa_R": 1.0}
     TRAJECTORIES = {"eps_d": 1.0, "T_L": 0.5, "T_R": 0.5, "mu_L": 0.8,
                     "mu_R": -0.8, "kappa_L": 0.01, "kappa_R": 0.01,
                     "tau": 2.0, "n_traj": 10}
@@ -719,6 +735,11 @@ class TestValidate:
          "key 'eps_r' has wrong type bool"),
         ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": "x"}},
          "key 'eps_r' has wrong type str"),
+        ({"experiment": "double-dot",
+          "params": {**DOUBLE_DOT, "mode": "secular"}},
+         "params.mode must be 'local', got 'secular'"),
+        ({"experiment": "double-dot", "params": {**DOUBLE_DOT, "kappa_R": 0}},
+         "params.kappa_R must be > 0"),
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, config,
                                       message):

@@ -8,6 +8,9 @@ attribute, anywhere in ``src/qthermo``; reads from the tests do not
 count. A tolerance that nothing reads states a contract that nothing
 checks.
 
+No public function or dataclass takes a numeric option: an int or float
+default is a physical input from a short list, never a threshold.
+
 Each exception the package builds follows the one error rule: it is a
 ``ValueError`` (invalid inputs) or a ``qcore.NumericalError`` (valid
 inputs, failed numerics), never both.
@@ -16,8 +19,10 @@ inputs, failed numerics), never both.
 import ast
 import builtins
 import importlib
+import inspect
 import pathlib
 import re
+from dataclasses import is_dataclass
 
 import qthermo
 from qthermo.qcore import NumericalError
@@ -30,6 +35,10 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 def module_trees():
     return {path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text())
             for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def module_name(path):
+    return "qthermo." + path[:-3].replace("/", ".").removesuffix(".__init__")
 
 
 def module_constants(trees):
@@ -54,8 +63,17 @@ def test_every_module_constant_is_read():
     assert [c for c in constants if c[1] not in reads] == []
 
 
+# constants that replaced per-call or per-instance options
+FORMER_OPTIONS = {("trajectories", "FT_MIN_COUNT"),
+                  ("trajectories", "FT_MAX_ATOMS"),
+                  ("models.fridge", "T_MIN_HORIZON_PERIODS"),
+                  ("models.single_dot", "BORN_MARKOV_MARGIN"),
+                  ("models.double_dot", "DOUBLE_DOT_MARGIN")}
+
+
 def test_contract_table_matches_the_code():
-    # every TOL_* constant has a row, and every row the code's value
+    # every TOL_* constant and every former option has a row, and every
+    # row the code's value
     text = README.read_text()
     table = text[text.index("## Numerical contracts"):]
     rows = re.findall(r"^\| `([a-z_.]+)\.([A-Z0-9_]+)` \| ([^|]+) \|",
@@ -63,9 +81,36 @@ def test_contract_table_matches_the_code():
     tolerances = {name for _, name in module_constants(module_trees())
                   if name.startswith("TOL_")}
     assert tolerances <= {name for _, name, _ in rows}
+    assert FORMER_OPTIONS <= {(module, name) for module, name, _ in rows}
     for module, name, value in rows:
         assert getattr(importlib.import_module(f"qthermo.{module}"),
                        name) == float(value), (module, name)
+
+
+# physical inputs with a natural default; perfbench sets random_hermitian's
+# scale
+PHYSICAL_DEFAULTS = {"ReservoirSpec.chemical_potential",
+                     "ReservoirSpec.coupling", "JumpChannel.energy_quantum",
+                     "JumpChannel.particle_quantum", "cumulants.max_order",
+                     "random_hermitian.scale"}
+
+
+def test_no_numeric_options():
+    found = set()
+    for path in module_trees():
+        module = importlib.import_module(module_name(path))
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not (inspect.isfunction(obj) or (
+                    inspect.isclass(obj) and is_dataclass(obj)))
+                    or not obj.__module__.startswith("qthermo")):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                default = param.default
+                if (isinstance(default, (int, float))
+                        and not isinstance(default, bool)):
+                    found.add(f"{name}.{param.name}")
+    assert sorted(found - PHYSICAL_DEFAULTS) == []
+    assert PHYSICAL_DEFAULTS <= found
 
 
 def called_exception_classes(module, tree):
@@ -94,9 +139,8 @@ def called_exception_classes(module, tree):
 def test_every_raised_error_is_input_or_numerical():
     sites, wrong = 0, []
     for path, tree in module_trees().items():
-        module = "qthermo." + path[:-3].replace("/", ".").removesuffix(
-            ".__init__")
-        for line, name, cls in called_exception_classes(module, tree):
+        for line, name, cls in called_exception_classes(module_name(path),
+                                                        tree):
             sites += 1
             if issubclass(cls, ValueError) == issubclass(cls, NumericalError):
                 wrong.append(f"{path}:{line} {name}")

@@ -314,6 +314,11 @@ class TestTUR:
         with pytest.raises(CountingError):
             tur_audit(0.0, 1.0, 1.0)
 
+    def test_underflowing_mean_rejected(self):
+        # 1e-170 ** 2 underflows to 0, so the ratio would divide by zero
+        with pytest.raises(CountingError, match="nonzero mean current"):
+            tur_audit(1e-170, 1.0, 1.0)
+
     def test_engine_form_bounded(self):
         # printed engine combination evaluates <= 1/2 (trivially negative
         # in the engine regime); the tight version is tur_audit itself

@@ -255,6 +255,12 @@ class TestConcurrence:
             if abs(abs(j_r) - j_crit) > 1e-12 * max(j_crit, 1e-12):
                 assert entangled == (c > 0)
 
+    @pytest.mark.parametrize("kappa_l, kappa_r", [(0.3, 0.0), (0.0, 0.2)])
+    def test_critical_current_needs_both_couplings(self, kappa_l, kappa_r):
+        with pytest.raises(ValueError, match="kappa_L kappa_R > 0"):
+            critical_heat_current(params_for(kappa_l=kappa_l,
+                                             kappa_r=kappa_r))
+
     def test_heat_current_matches_bookkeeping(self, rng):
         for _ in range(5):
             p = random_local_params(rng)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,5 +224,6 @@ class TestCoherentTransient:
         p = fridge(eps_c=1.5 * boundary, eps_h=1.0, g=0.05,
                    kc=0.005, kh=0.005, kr=0.005)
         assert occupation_imbalance(p) < 0
-        with pytest.raises(NumericalError, match="no occupation minimum"):
-            fridge_switchoff_protocol(p, horizon_periods=0.45)
+        with mock.patch("qthermo.models.fridge.T_MIN_HORIZON_PERIODS", 0.45):
+            with pytest.raises(NumericalError, match="no occupation minimum"):
+                fridge_switchoff_protocol(p)

@@ -1,7 +1,5 @@
 """Cross-model invariants: the laws of thermodynamics at steady state."""
 
-import math
-
 from qthermo.lindblad import (all_currents, entropy_production_rate,
                               steady_state)
 from qthermo.models import (DoubleDotParams, FridgeParams, SingleDotParams,
@@ -17,16 +15,14 @@ def random_model_generator(rng, kind):
             {"c": ReservoirSpec(rng.uniform(0.2, 0.8), rng.uniform(-1, 1),
                                 "fermionic", rng.uniform(0.05, 0.5)),
              "h": ReservoirSpec(rng.uniform(0.9, 2.5), rng.uniform(-1, 1),
-                                "fermionic", rng.uniform(0.05, 0.5))},
-            margin=math.inf))
+                                "fermionic", rng.uniform(0.05, 0.5))}))
     if kind == "dd_local":
         return double_dot_generator(DoubleDotParams(
             rng.uniform(0.5, 3.0), rng.uniform(0.02, 0.2),
             {"L": ReservoirSpec(rng.uniform(0.3, 1.5), rng.uniform(-1, 1),
                                 "fermionic", rng.uniform(0.05, 0.4)),
              "R": ReservoirSpec(rng.uniform(0.3, 1.5), rng.uniform(-1, 1),
-                                "fermionic", rng.uniform(0.05, 0.4))},
-            margin=math.inf))
+                                "fermionic", rng.uniform(0.05, 0.4))}))
     if kind == "dd_secular":
         return double_dot_generator(DoubleDotParams(
             rng.uniform(0.5, 3.0), rng.uniform(0.3, 0.8),
@@ -34,7 +30,7 @@ def random_model_generator(rng, kind):
                                 "fermionic", rng.uniform(0.01, 0.1)),
              "R": ReservoirSpec(rng.uniform(0.3, 1.5), rng.uniform(-1, 1),
                                 "fermionic", rng.uniform(0.01, 0.1))},
-            mode="secular", margin=math.inf))
+            mode="secular"))
     t_c = rng.uniform(0.2, 0.8)
     t_r = t_c + rng.uniform(0.1, 1.0)
     t_h = t_r + rng.uniform(0.1, 2.0)

@@ -213,7 +213,7 @@ class TestCrooksJarzynski:
         values, _ = dist.work_distribution()
         edges = np.concatenate([values - 0.25, [values[-1] + 0.25]])
         rep = crooks_check(fwd.work, bwd.work, 1.0, dist.delta_free_energy(),
-                           bins=edges)
+                           edges)
         assert abs(rep.slope - (-1.0)) <= 3 * rep.slope_stderr
 
     def test_dissipated_work_nonnegative(self):
@@ -369,30 +369,33 @@ class TestUnravelPhysics:
         assert not rep.detailed_inconclusive
         assert abs(rep.detailed_slope - (-1.0)) <= 3 * rep.detailed_slope_stderr
 
-    def test_detailed_ft_binned_fallback(self):
-        # max_atoms=0 forces equal-width bins; each bin of this lattice of
-        # Sigma values holds one atom, so both paths fit the same points
+    def test_detailed_ft_binned_fallback(self, monkeypatch):
+        # FT_MAX_ATOMS = 0 forces equal-width bins; each bin of this lattice
+        # of Sigma values holds one atom, so both paths fit the same points
         gen, ledger = single_dot_generator(biased_dot_params())
         rho = steady_state(gen)
         fwd = unravel(gen, ledger, np.real(np.diag(rho)), 2.0, 15, 150_000,
                       record_events=False)
         bwd = backward_ensemble(gen, ledger, fwd, 16)
         atoms = ft_estimators(fwd, bwd)
-        binned = ft_estimators(fwd, bwd, max_atoms=0)
+        monkeypatch.setattr(trajectories, "FT_MAX_ATOMS", 0)
+        binned = ft_estimators(fwd, bwd)
         assert not binned.detailed_inconclusive
         assert binned.detailed_slope == pytest.approx(atoms.detailed_slope,
                                                       abs=1e-9)
         assert abs(binned.detailed_slope - (-1.0)) <= \
             4 * binned.detailed_slope_stderr
 
-    def test_detailed_ft_inconclusive_without_negative_tail(self):
+    def test_detailed_ft_inconclusive_without_negative_tail(self,
+                                                            monkeypatch):
         # long times suppress negative entropy production exponentially
         gen, ledger = single_dot_generator(biased_dot_params(bias=3.0))
         rho = steady_state(gen)
         fwd = unravel(gen, ledger, np.real(np.diag(rho)), 60.0, 5, 2000,
                       record_events=False)
         bwd = backward_ensemble(gen, ledger, fwd, 6)
-        rep = ft_estimators(fwd, bwd, min_count=2000)
+        monkeypatch.setattr(trajectories, "FT_MIN_COUNT", 2000)
+        rep = ft_estimators(fwd, bwd)
         assert rep.detailed_inconclusive
 
     def test_negative_tail_shrinks_with_time(self):
