@@ -61,6 +61,14 @@ EXIT_NUMERIC = 3
 CONFIG_DIALECT = "json/1"
 # seeds are 64-bit Philox key words; trajectories also uses seed + 1
 SEED_MAX = 2**64 - 2
+# Caps on counts, sized from the costliest item: a table row (sweep.steps,
+# params.steps) costs up to about 2 ms and 30 kB (an absorption sweep
+# point), a sample (params.n_traj, params.n_samples) up to about 1.5 us and
+# 150 B (a trajectory and its backward twin), and a jump about 0.1-0.3 us.
+# Expected jumps are bounded by n_traj * tau * (kappa_L + kappa_R).
+MAX_ROWS = 10**4
+MAX_SAMPLES = 10**7
+MAX_EXPECTED_JUMPS = 10**8
 
 
 class ConfigError(ValueError):
@@ -100,6 +108,15 @@ def _check_seed(seed):
     if not 0 <= seed <= SEED_MAX:
         raise ConfigError(f"seed must lie in [0, 2**64 - 2], got {seed}")
     return seed
+
+
+def _count(value, key, minimum, cap):
+    """``value`` of config key ``key``, a count in [minimum, cap]."""
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    if value > cap:
+        raise ConfigError(f"{key} must be <= {cap}, got {value}")
+    return value
 
 
 def _finite_number(text, kind=float):
@@ -142,8 +159,7 @@ def load_config(path):
         steps = _need(sweep, "steps", "config.sweep", int)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError("sweep bounds must be finite")
-        if steps < 2:
-            raise ConfigError("sweep.steps must be >= 2")
+        _count(steps, "sweep.steps", 2, MAX_ROWS)
         if name not in params:
             raise ConfigError(f"sweep parameter {name!r} not present in params")
         _typecheck(params[name], (int, float), f"sweep parameter {name!r}")
@@ -191,10 +207,7 @@ def _dot_params(p, keys, tags):
 
 
 def _steps(p, default):
-    steps = _opt(p, "steps", default, int)
-    if steps < 2:
-        raise ConfigError("params.steps must be >= 2")
-    return steps
+    return _count(_opt(p, "steps", default, int), "params.steps", 2, MAX_ROWS)
 
 
 _ENGINE_KEYS = {"eps_d", "T_c", "T_h", "mu_c", "mu_h", "kappa_c", "kappa_h"}
@@ -367,9 +380,8 @@ def _tpm_params(p):
     angle = float(_need(p, "angle", "params"))
     beta = float(_need(p, "beta", "params"))
     tau = float(_need(p, "tau", "params"))
-    n_samples = _opt(p, "n_samples", 0, int)
-    if n_samples < 0:
-        raise ConfigError("params.n_samples must be >= 0")
+    n_samples = _count(_opt(p, "n_samples", 0, int), "params.n_samples", 0,
+                       MAX_SAMPLES)
     h0 = 0.5 * eps0 * np.array([[1.0, 0.0], [0.0, -1.0]])
     h1 = 0.5 * eps0 * (math.cos(angle) * np.array([[1.0, 0.0], [0.0, -1.0]])
                        + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -401,9 +413,15 @@ def _trajectory_params(p):
     tau = float(_need(p, "tau", "params"))
     if tau < 0:
         raise ConfigError("params.tau must be >= 0")
-    n_traj = _need(p, "n_traj", "params", int)
-    if n_traj < 2:
-        raise ConfigError("params.n_traj must be >= 2")
+    n_traj = _count(_need(p, "n_traj", "params", int), "params.n_traj", 2,
+                    MAX_SAMPLES)
+    # the escape rate out of either state is at most kappa_L + kappa_R
+    rate = sum(res.coupling for res in params.reservoirs.values())
+    if not n_traj * tau * rate <= MAX_EXPECTED_JUMPS:
+        raise ConfigError(
+            "expected jumps params.n_traj * params.tau * (params.kappa_L + "
+            f"params.kappa_R) = {n_traj * tau * rate:.6g} must be <= "
+            f"{MAX_EXPECTED_JUMPS}")
     return params, tau, n_traj
 
 

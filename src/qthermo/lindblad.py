@@ -53,9 +53,9 @@ from typing import Mapping, NamedTuple, Tuple
 import numpy as np
 
 from .qcore import (KB, TOL_COMMUTE, TOL_HERM, TOL_PSD_STEADY, NumericalError,
-                    commutator_superop, dagger, dissipate, dissipator_apply,
-                    dissipator_superop, expm_dense, hermitize, is_hermitian,
-                    kron, raise_first_failure, unvectorize, vectorize)
+                    commutator_superop, dagger, dissipate, dissipator_superop,
+                    expm_dense, hermitize, is_hermitian, kron,
+                    raise_first_failure, unvectorize, vectorize)
 from .thermo import ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient

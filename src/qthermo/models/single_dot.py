@@ -7,7 +7,7 @@ a temperature bias into chemical work.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
@@ -16,8 +16,6 @@ from ..thermo import ReservoirSpec, fermi_dirac
 from .common import LOWER, NUMBER, RAISE, warn_margin
 
 BORN_MARKOV_MARGIN = 0.1
-# Bracket width at which the stopping-voltage bisection stops.
-STOPPING_VOLTAGE_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,9 @@ def _engine_reservoirs(params):
 
 def engine_steady_power(params):
     """Steady output power kc kh/(kc+kh) (mu_c - mu_h) (n_F^h - n_F^c)."""
-    return _steady_power(params.eps_d, *_engine_reservoirs(params))
-
-
-def _steady_power(eps_d, cold, hot):
-    nf_c = fermi_dirac(eps_d, cold)
-    nf_h = fermi_dirac(eps_d, hot)
+    cold, hot = _engine_reservoirs(params)
+    nf_c = fermi_dirac(params.eps_d, cold)
+    nf_h = fermi_dirac(params.eps_d, hot)
     kc, kh = cold.coupling, hot.coupling
     return (kc * kh / (kc + kh)
             * (cold.chemical_potential - hot.chemical_potential)
@@ -158,34 +153,15 @@ def regime_from_currents(currents):
 
 
 def stopping_voltage(params):
-    """mu_c at which the steady power vanishes (n_F^h = n_F^c), by bisection.
+    """mu_c at which the steady power vanishes: n_F^c(eps_d) = n_F^h(eps_d)
+    gives mu_c = eps_d - (T_c/T_h)(eps_d - mu_h), where eta = eta_C.
 
-    Searches mu_c in (mu_h, eps_d); the bracket is where the engine lasso
-    lives for eps_d > mu_c > mu_h. The interval is narrowed to
-    STOPPING_VOLTAGE_WIDTH, so the residual power at the root is far below
-    1e-12 in reference units.
+    At T_c = T_h or eps_d = mu_h the power vanishes only at mu_c = mu_h,
+    which is no stopping voltage: ValueError.
     """
     cold, hot = _engine_reservoirs(params)
-
-    def p_of(mu_c):
-        return _steady_power(params.eps_d,
-                             replace(cold, chemical_potential=mu_c), hot)
-
-    lo, hi = hot.chemical_potential, params.eps_d
-    f_lo, f_hi = p_of(lo), p_of(hi)
-    if f_lo == 0.0:
-        lo += 1e-6 * (hi - lo)
-        f_lo = p_of(lo)
-    if f_lo * f_hi > 0:
-        raise ValueError("power does not change sign in (mu_h, eps_d); "
-                         "no stopping voltage in bracket")
-    while hi - lo > STOPPING_VOLTAGE_WIDTH:
-        mid = 0.5 * (lo + hi)
-        f_mid = p_of(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    gap = params.eps_d - hot.chemical_potential
+    if cold.temperature == hot.temperature or gap == 0.0:
+        raise ValueError("no stopping voltage at T_c = T_h or eps_d = mu_h: "
+                         "the power vanishes only at mu_c = mu_h")
+    return params.eps_d - cold.temperature / hot.temperature * gap

@@ -97,13 +97,6 @@ def bose_einstein(omega, res):
     return 1.0 / math.expm1(z)
 
 
-def occupation(omega, res):
-    """Reservoir occupation at energy omega, dispatching on statistics."""
-    if res.statistics == FERMIONIC:
-        return fermi_dirac(omega, res)
-    return bose_einstein(omega, res)
-
-
 def gibbs_state(h, res, number_op=None):
     """Grand-canonical Gibbs state e^{-beta(H - mu N)}/Z.
 

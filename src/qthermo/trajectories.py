@@ -241,12 +241,8 @@ class TPMDistribution:
 def tpm_distribution(protocol):
     """Exact enumeration of p(m <- n) = p_n |<m_tau|U|n_0>|^2.
 
-    Restricted to dimensions <= 16 (exact enumeration only). Degenerate
-    eigenbases use numpy's deterministic eigh ordering.
+    Degenerate eigenbases use numpy's deterministic eigh ordering.
     """
-    dim = protocol.h_initial.shape[0]
-    if dim > 16:
-        raise ValueError("exact enumeration limited to dimension <= 16")
     e0, v0 = np.linalg.eigh(protocol.h_initial)
     e1, v1 = np.linalg.eigh(protocol.h_final)
     u = protocol.unitary()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qthermo import cli
+from qthermo import cli, trajectories
 from qthermo.cli import ConfigError, load_config, main, run, validate
 from qthermo.models import SingleDotParams, ValidityWarning, engine_regime
 from qthermo.thermo import ReservoirSpec
@@ -740,9 +740,30 @@ class TestValidate:
          "params.mode must be 'local', got 'secular'"),
         ({"experiment": "double-dot", "params": {**DOUBLE_DOT, "kappa_R": 0}},
          "params.kappa_R must be > 0"),
+        ({"experiment": "tpm", "params": {**TPM, "n_samples": 2**70}},
+         f"params.n_samples must be <= {cli.MAX_SAMPLES}"),
+        ({"experiment": "trajectories",
+          "params": {**TRAJECTORIES, "n_traj": 2**70}},
+         f"params.n_traj must be <= {cli.MAX_SAMPLES}"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "steps": 2**70}},
+         f"params.steps must be <= {cli.MAX_ROWS}"),
+        ({"experiment": "single-dot", "params": {**SINGLE_DOT, "steps": 2**62}},
+         f"params.steps must be <= {cli.MAX_ROWS}"),
+        ({"experiment": "heat-engine", "params": ENGINE,
+          "sweep": {"name": "eps_d", "start": 0.2, "stop": 4.2,
+                    "steps": 2**70}},
+         f"sweep.steps must be <= {cli.MAX_ROWS}"),
+        ({"experiment": "trajectories",
+          "params": {**TRAJECTORIES, "kappa_L": 2**70}},
+         "expected jumps params.n_traj * params.tau * (params.kappa_L + "
+         "params.kappa_R)"),
     ])
-    def test_rejects_what_run_rejects(self, tmp_path, capsys, config,
-                                      message):
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
+                                      config, message):
+        # a sampler that refuses makes a lost check fail instead of hang
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+        monkeypatch.setattr(trajectories, "_unravel_slice", refuse)
         path = write_config(tmp_path / "v.json", {
             **config, "output": {"path": str(tmp_path / "v.csv")}})
         assert main(["run", path]) == 2
@@ -750,6 +771,26 @@ class TestValidate:
         assert message in err
         assert main(["validate", path]) == 2
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "tpm",
+         "params": {**TPM, "n_samples": cli.MAX_SAMPLES}},
+        {"experiment": "trajectories",
+         "params": {**TRAJECTORIES, "n_traj": cli.MAX_SAMPLES}},
+        {"experiment": "trajectories",
+         "params": {**TRAJECTORIES, "kappa_L": 0.25, "kappa_R": 0.25,
+                    "tau": 20.0, "n_traj": cli.MAX_EXPECTED_JUMPS // 10}},
+        {"experiment": "absorption",
+         "params": {**FRIDGE, "steps": cli.MAX_ROWS}},
+        {"experiment": "single-dot",
+         "params": {**SINGLE_DOT, "steps": cli.MAX_ROWS}},
+        {"experiment": "heat-engine", "params": ENGINE,
+         "sweep": {"name": "eps_d", "start": 0.2, "stop": 4.2,
+                   "steps": cli.MAX_ROWS}},
+    ])
+    def test_counts_at_their_caps_pass(self, tmp_path, config):
+        assert main(["validate", write_config(tmp_path / "v.json",
+                                              config)]) == 0
 
     @pytest.mark.parametrize("name", sorted(
         p.stem for p in CONFIGS.glob("*.json")))

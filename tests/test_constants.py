@@ -11,6 +11,9 @@ checks.
 No public function or dataclass takes a numeric option: an int or float
 default is a physical input from a short list, never a threshold.
 
+Every import is read by its module (``__init__.py`` re-exports aside),
+and every module-level function or class by the package or the tests.
+
 Each exception the package builds follows the one error rule: it is a
 ``ValueError`` (invalid inputs) or a ``qcore.NumericalError`` (valid
 inputs, failed numerics), never both.
@@ -49,18 +52,51 @@ def module_constants(trees):
             if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id)]
 
 
-def test_every_module_constant_is_read():
-    trees = module_trees()
+def names_read(trees):
+    """Every name loaded, or accessed as an attribute, in the trees."""
     reads = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add(node.id)
             elif isinstance(node, ast.Attribute):
                 reads.add(node.attr)
+    return reads
+
+
+def test_every_module_constant_is_read():
+    trees = module_trees()
+    reads = names_read(trees.values())
     constants = module_constants(trees)
     assert len(constants) > 20
     assert [c for c in constants if c[1] not in reads] == []
+
+
+def test_every_import_and_definition_is_read():
+    # dead code: an import its module never reads (an __init__.py import
+    # is a re-export), or a module-level function or class that neither
+    # the package nor the tests read
+    trees = module_trees()
+    unread_imports = []
+    for path, tree in trees.items():
+        if path.endswith("__init__.py"):
+            continue
+        reads = names_read([tree])
+        unread_imports += [
+            f"{path}: {alias.asname or alias.name.split('.')[0]}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in reads]
+    tests = [ast.parse(path.read_text())
+             for path in pathlib.Path(__file__).parent.glob("*.py")]
+    reads = names_read([*trees.values(), *tests])
+    unread_definitions = [
+        f"{path}: {node.name}" for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in reads]
+    assert unread_imports + unread_definitions == []
 
 
 # constants that replaced per-call or per-instance options

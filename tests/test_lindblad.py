@@ -7,12 +7,13 @@ from qthermo import lindblad, qcore
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, LedgerError,
                               MultistabilityError, ThermoLedger,
                               all_currents, build_liouvillian,
-                              dissipator_apply, entropy_production_rate,
-                              entropy_rate, generator_apply, heat_current,
+                              entropy_production_rate, entropy_rate,
+                              generator_apply, heat_current,
                               local_detailed_balance_check, power, propagate,
                               steady_state, validate_ledger)
 from qthermo.models.common import LOWER, NUMBER, RAISE
-from qthermo.qcore import dagger, trace_vector, unvectorize, vectorize
+from qthermo.qcore import (dagger, dissipator_apply, trace_vector,
+                           unvectorize, vectorize)
 from qthermo.thermo import ReservoirSpec, fermi_dirac, gibbs_state
 
 

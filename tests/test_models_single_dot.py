@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qthermo.lindblad import (all_currents, local_detailed_balance_check,
                               propagate, steady_state)
@@ -151,3 +152,43 @@ class TestRegimes:
         assert mu_stop == pytest.approx(1.25, abs=1e-9)
         assert engine_steady_power(engine_params(mu_c=mu_stop - 1e-3)) > 0
         assert engine_steady_power(engine_params(mu_c=mu_stop + 1e-3)) < 0
+
+
+class TestStoppingVoltage:
+    """mu_c = eps_d - (T_c/T_h)(eps_d - mu_h), where n_F^c = n_F^h at eps_d."""
+
+    @pytest.mark.parametrize("eps_d, mu_h, mu_stop", [
+        (2.0, 0.0, 1.25), (-1.0, 0.0, -0.625), (0.5, 1.0, 0.6875)])
+    def test_closed_form_values(self, eps_d, mu_h, mu_stop):
+        params = engine_params(eps_d=eps_d, mu_h=mu_h)
+        got = stopping_voltage(params)
+        assert got == pytest.approx(mu_stop, abs=1e-12)
+        stopped = engine_params(eps_d=eps_d, mu_h=mu_h, mu_c=got)
+        assert abs(engine_steady_power(stopped)) < 1e-15
+
+    @pytest.mark.parametrize("overrides", [
+        {"t_c": 0.5, "t_h": 0.5}, {"eps_d": 0.0, "mu_h": 0.0},
+        {"eps_d": 0.7, "mu_h": 0.7}])
+    def test_no_stopping_voltage(self, overrides):
+        # the power vanishes only at mu_c = mu_h
+        with pytest.raises(ValueError, match="no stopping voltage"):
+            stopping_voltage(engine_params(**overrides))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu_h=st.floats(-2.0, 2.0), gap=st.floats(0.01, 3.0),
+           below=st.booleans(), t_c=st.floats(0.05, 2.0),
+           t_h=st.floats(0.05, 2.0), kappa_c=st.floats(0.01, 2.0),
+           kappa_h=st.floats(0.01, 2.0))
+    def test_occupations_meet_at_carnot(self, mu_h, gap, below, t_c, t_h,
+                                        kappa_c, kappa_h):
+        assume(t_c != t_h)
+        eps_d = mu_h - gap if below else mu_h + gap
+        args = dict(eps_d=eps_d, mu_h=mu_h, t_c=t_c, t_h=t_h,
+                    kappa_c=kappa_c, kappa_h=kappa_h)
+        stopped = engine_params(mu_c=stopping_voltage(engine_params(**args)),
+                                **args)
+        cold, hot = stopped.reservoirs["c"], stopped.reservoirs["h"]
+        assert fermi_dirac(eps_d, cold) == pytest.approx(
+            fermi_dirac(eps_d, hot), abs=1e-12)
+        assert engine_efficiency(stopped) == pytest.approx(
+            carnot_efficiency(stopped), abs=1e-9)

@@ -58,12 +58,6 @@ class TestTPMProtocol:
         assert np.array_equal(values, [0.0])
         assert probs[0] == pytest.approx(1.0)
 
-    def test_dimension_limit(self):
-        h = np.diag(np.arange(17, dtype=float))
-        prot = TPMProtocol(((0.0, h),), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            tpm_distribution(prot)
-
 
 class TestTPMDistribution:
     def test_exact_two_level_enumeration(self):
@@ -116,6 +110,21 @@ class TestTPMDistribution:
                 lhs = dist.jarzynski_exact()
                 rhs = math.exp(-beta * dist.delta_free_energy())
                 assert abs(lhs - rhs) < 1e-10
+
+    def test_exact_enumeration_at_dimension_40(self, rng):
+        # two eigh calls and a d x d product: no dimension limit
+        def symmetric(dim):
+            a = rng.normal(size=(dim, dim))
+            return 0.5 * (a + a.T)
+
+        beta = 0.7
+        prot = TPMProtocol(((0.0, symmetric(40)), (0.4, symmetric(40))),
+                           beta, 1.0)
+        dist = tpm_distribution(prot)
+        assert dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.jarzynski_exact() == pytest.approx(
+            math.exp(-beta * dist.delta_free_energy()), rel=1e-12)
+        assert microreversibility_defect(prot) < 1e-12
 
 
 class TestTPMSampling:
