@@ -38,7 +38,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .fcs import CountingConfig, cumulants, tur_audit
+from .fcs import cumulants, particle_weights, tur_audit
 from .lindblad import (all_currents, entropy_production_rate, propagate,
                        steady_state)
 from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
@@ -336,7 +336,7 @@ def _single_dot_table(points, seed):
     tags = sorted(params.reservoirs)
     times = np.linspace(0.0, t_max, steps)
     rho0 = np.diag([1.0 - p1, p1]).astype(complex)
-    rho = np.stack([propagate(gen, rho0, t) for t in times])
+    rho = propagate(gen, rho0, times)
     currents = all_currents(gen, ledger, rho)
     return (["t", "p1", *(f"{q}_{tag}" for tag in tags for q in "JP"),
              "sigma_dot"],
@@ -355,9 +355,7 @@ def _fcs_params(p):
 
 def _fcs_table(params, seed):
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
-    cfg = CountingConfig.particle(gen, "R")
-    c1, c2, c3, c4 = (r.value for r in
-                      cumulants(gen, cfg, cfg.fields[0].name, max_order=4))
+    c1, c2, c3, c4 = cumulants(gen, particle_weights(gen, "R"), max_order=4)
     sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
     audits = [tur_audit(*point) for point in
               zip(c1.tolist(), c2.tolist(), sigma_dot.tolist())]
@@ -440,7 +438,7 @@ def _trajectory_table(points, seed):
              *(x.mean() for x in means.values())]
     stderr = [report.integral_stderr, 0.0,
               *(x.std(ddof=1) / math.sqrt(n_traj) for x in means.values())]
-    if not report.detailed_inconclusive:
+    if report.detailed_slope is not None:
         quantity.append("detailed_slope")
         value.append(report.detailed_slope)
         stderr.append(report.detailed_slope_stderr)

@@ -1,11 +1,13 @@
 """Full counting statistics: tilted Liouvillians, cumulants, and the TUR.
 
-A counting field chi multiplies the jump part L rho L† of selected
-channels by e^{i chi w} where w is the per-channel weight (net particles,
-heat quanta omega - mu n, or chemical work mu n). The dominant eigenvalue
-nu(chi) of the tilted Liouvillian is the scaled cumulant generating
-function in the long-time limit; its derivatives in s = i chi at 0 are
-the current cumulants.
+A counting field chi multiplies the jump part L rho L† of channel k by
+e^{i chi w_k}, where w is an array of one weight per channel (net
+particles, heat quanta omega - mu n, or chemical work mu n; see
+:func:`particle_weights` and :func:`heat_and_work_weights`). Several
+fields add up to one phase per channel, sum_f chi_f w_f. The dominant
+eigenvalue nu(chi) of the tilted Liouvillian is the scaled cumulant
+generating function in the long-time limit; its derivatives in s = i chi
+at 0 are the current cumulants.
 
 :func:`cumulants` computes those derivatives exactly, without finite
 differences, by the Rayleigh-Schroedinger recursion for the eigenpair of
@@ -19,7 +21,6 @@ expansion is not unique and :class:`CountingError` is raised.
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -33,75 +34,52 @@ class CountingError(NumericalError):
     """A counting computation missed its numerical contract."""
 
 
-@dataclass(frozen=True)
-class CountingField:
-    """One named counting field with its per-channel weight vector."""
+def particle_weights(gen, reservoir):
+    """Net particles entering ``reservoir`` in each channel's jump, one
+    weight per channel (0 on the channels of other reservoirs)."""
+    weights = np.array([float(ch.particle_quantum)
+                        if ch.reservoir == reservoir else 0.0
+                        for ch in gen.channels])
+    if not weights.any():
+        raise ValueError(f"no counted transitions for reservoir "
+                         f"{reservoir!r}")
+    return weights
 
-    name: str
-    weights: Tuple[float, ...]
+
+def heat_and_work_weights(gen, ledger, reservoir):
+    """Heat omega - mu n and chemical work mu n that each channel's jump
+    brings into ``reservoir``, as the arrays ``(heat, work)`` (0 on the
+    channels of other reservoirs)."""
+    if reservoir not in ledger.reservoirs:
+        raise ValueError(f"reservoir {reservoir!r} is not in the ledger")
+    mu = ledger.reservoirs[reservoir].chemical_potential
+    ours = [ch.reservoir == reservoir for ch in gen.channels]
+    work = np.where(ours, [mu * ch.particle_quantum for ch in gen.channels],
+                    0.0)
+    energy = np.where(ours, [ch.energy_quantum for ch in gen.channels], 0.0)
+    return energy - work, work
 
 
-@dataclass(frozen=True)
-class CountingConfig:
-    """A set of counting fields for one generator.
+def _per_channel(gen, values, name, dtype):
+    """``values`` as a 1-D array with one entry per channel of ``gen``."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (len(gen.channels),):
+        raise ValueError(f"{name} has shape {values.shape}, need "
+                         f"({len(gen.channels)},): one per channel")
+    return values
 
-    All fields at zero reproduce the bare Liouvillian exactly (bitwise:
-    the assembly path is shared with :func:`build_liouvillian`).
+
+def counting_liouvillian(gen, phases):
+    """Tilted Liouvillian with the jump term of channel k multiplied by
+    e^{i phases[k]}.
+
+    One counting field chi with weights w gives ``phases = chi * w``;
+    several give the sum of chi_f w_f. Anticommutator and Hamiltonian
+    parts are untouched; with every phase zero the result is
+    bitwise-equal to ``build_liouvillian(gen)``. On a sweep axis the
+    result has the batch shape in front.
     """
-
-    fields: Tuple[CountingField, ...]
-
-    def field(self, name):
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise ValueError(f"unknown counting field {name!r}")
-
-    @staticmethod
-    def particle(gen, reservoir):
-        """Field ``n_<reservoir>``: net particles entering ``reservoir``."""
-        weights = tuple(
-            float(ch.particle_quantum) if ch.reservoir == reservoir else 0.0
-            for ch in gen.channels)
-        if all(w == 0.0 for w in weights):
-            raise ValueError(f"no counted transitions for reservoir "
-                             f"{reservoir!r}")
-        return CountingConfig((CountingField(f"n_{reservoir}", weights),))
-
-    @staticmethod
-    def heat_and_work(gen, ledger):
-        """Joint heat/work fields chi_a, lambda_a for every reservoir.
-
-        Heat weight per jump is omega - mu_a n, work weight is mu_a n.
-        """
-        fields = []
-        for alpha in gen.reservoirs():
-            mu = ledger.reservoirs[alpha].chemical_potential
-            q = tuple((ch.energy_quantum - mu * ch.particle_quantum)
-                      if ch.reservoir == alpha else 0.0
-                      for ch in gen.channels)
-            w = tuple(mu * ch.particle_quantum if ch.reservoir == alpha else 0.0
-                      for ch in gen.channels)
-            fields.append(CountingField(f"chi_{alpha}", q))
-            fields.append(CountingField(f"lambda_{alpha}", w))
-        return CountingConfig(tuple(fields))
-
-
-def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
-    """Tilted Liouvillian with jump terms multiplied by e^{i sum chi_f w_f}.
-
-    Anticommutator and Hamiltonian parts are untouched; with every field
-    zero the result is bitwise-equal to ``build_liouvillian(gen)``. On a
-    sweep axis the result has the batch shape in front.
-    """
-    unknown = set(values) - {f.name for f in cfg.fields}
-    if unknown:
-        raise ValueError(f"unknown counting fields {sorted(unknown)}")
-    phases = np.zeros(len(gen.channels), dtype=complex)
-    for f in cfg.fields:
-        chi = values.get(f.name, 0.0)
-        if chi != 0.0:
-            phases = phases + chi * np.asarray(f.weights)
+    phases = _per_channel(gen, phases, "phases", complex)
     tilted = build_liouvillian(gen)
     rates, jumps = gen._stack.rates, gen._jump_superops
     for k, phase in enumerate(phases):
@@ -112,21 +90,22 @@ def counting_liouvillian(gen, cfg, values: Mapping[str, complex]):
     return tilted
 
 
-def cgf(gen, cfg, values, t, rho0):
+def cgf(gen, phases, t, rho0):
     """Finite-time cumulant generating function ln Tr{e^{L(chi) t} rho0}.
 
     The complex log is accumulated stepwise along the evolution (with
     trace renormalization), so the imaginary part is continuously
     unwrapped instead of being folded into (-pi, pi]; without this the
     long-time slope of S would be meaningless. Exactly zero at all-zero
-    fields (trace preservation is exact by construction). A numerically
-    vanishing trace raises with diagnostics.
+    ``phases`` (trace preservation is exact by construction). A
+    numerically vanishing trace raises with diagnostics.
     """
+    phases = _per_channel(gen, phases, "phases", complex)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time t must be finite and >= 0, got {t}")
-    if t == 0 or all(complex(v) == 0 for v in values.values()):
+    if t == 0 or not phases.any():
         return 0.0 + 0.0j
-    tilted = counting_liouvillian(gen, cfg, values)
+    tilted = counting_liouvillian(gen, phases)
     # keep the per-step phase advance well below pi; the Frobenius norm
     # upper-bounds the spectral radius and is cheap
     n_steps = max(8, int(math.ceil(np.linalg.norm(tilted) * t)))
@@ -159,16 +138,18 @@ def spectral_gap(matrix):
     return float(-real[1])
 
 
-def dominant_eigenvalue_path(gen, cfg, name, chis):
-    """nu(chi) along a grid, tracked by continuity from chi = chis[0].
+def dominant_eigenvalue_path(gen, weights, chis):
+    """nu(chi) of the field with per-channel ``weights`` along a grid,
+    tracked by continuity from chi = chis[0].
 
     Uses nearest-eigenvalue continuation so branch crossings do not make
     the curve jump between Liouvillian bands.
     """
+    weights = _per_channel(gen, weights, "weights", float)
     out = np.empty(len(chis), dtype=complex)
     prev = None
     for j, chi in enumerate(chis):
-        values = np.linalg.eigvals(counting_liouvillian(gen, cfg, {name: chi}))
+        values = np.linalg.eigvals(counting_liouvillian(gen, chi * weights))
         if prev is None:
             pick = values[np.argmax(values.real)]
         else:
@@ -185,16 +166,10 @@ TOL_GAP = 1e-12
 TOL_NU_ZERO = 1e-8
 
 
-@dataclass(frozen=True)
-class CumulantReport:
-    """One scaled cumulant <<n^k>>/t."""
-
-    order: int
-    value: float
-
-
-def cumulants(gen, cfg, name, max_order=4):
-    """Scaled cumulants c_m = (-i d/dchi)^m nu(0) for m = 1..max_order.
+def cumulants(gen, weights, max_order=4):
+    """Scaled cumulants c_m = (-i d/dchi)^m nu(0), m = 1..max_order, of
+    the field with per-channel ``weights``, as a real array of shape
+    ``(max_order, *batch)``.
 
     Exact to rounding by Rayleigh-Schroedinger perturbation theory in
     s = i chi (Flindt et al., PRB 82, 155407 (2010)): with
@@ -215,11 +190,11 @@ def cumulants(gen, cfg, name, max_order=4):
 
     On a sweep axis (see ``lindblad``) the eigen-decomposition, the LU
     factorisation and the solves are stacked, each point keeping its
-    bits, and each ``value`` has the batch shape.
+    bits.
     """
-    lams = in_chunks(_cumulants, gen, cfg.field(name).weights, max_order)
-    return [CumulantReport(m, lams[..., m - 1].real)
-            for m in range(1, max_order + 1)]
+    weights = _per_channel(gen, weights, "weights", float)
+    lams = in_chunks(_cumulants, gen, weights, max_order)
+    return np.moveaxis(lams.real, -1, 0)
 
 
 def _cumulants(gen, weights, max_order):

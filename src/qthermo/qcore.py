@@ -252,8 +252,13 @@ def eig_general(m):
 
 
 def expm_dense(m, t):
-    """Dense propagator e^{M t}."""
-    if not (math.isfinite(t) and t >= 0):
+    """Dense propagator e^{M t}; for a 1-D array of n times, the stack of
+    the n propagators. scipy's ``expm`` runs matrix by matrix, so each
+    has the bits of its scalar call."""
+    times = np.asarray(t, dtype=float)
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
         raise ValueError(f"propagation time t must be finite and >= 0, "
-                         f"got {t}")
-    return scipy.linalg.expm(np.asarray(m, dtype=complex) * t)
+                         f"got {bad[0]}")
+    return scipy.linalg.expm(np.asarray(m, dtype=complex)
+                             * times[..., None, None])

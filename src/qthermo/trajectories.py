@@ -271,6 +271,9 @@ def tpm_sample(protocol, seed, n_samples):
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    if n_samples > np.iinfo(np.intp).max:
+        raise ValueError(f"n_samples must be <= {np.iinfo(np.intp).max}, "
+                         f"got {n_samples}")
     dist = tpm_distribution(protocol)
     # a uint64 array key: numpy converts a list key lossily from 2**63 up
     rng = np.random.Generator(np.random.Philox(
@@ -711,7 +714,6 @@ class FTReport:
     negative_fraction: float
     detailed_slope: Optional[float]
     detailed_slope_stderr: Optional[float]
-    detailed_inconclusive: bool
 
 
 def ft_estimators(forward, backward=None):
@@ -726,8 +728,8 @@ def ft_estimators(forward, backward=None):
     histogram bins; only above FT_MAX_ATOMS distinct values does the
     estimator fall back to 200 equal-width bins with forward-centroid
     abscissae. A point enters the fit with FT_MIN_COUNT samples on each
-    side; insufficient negative-Sigma statistics are reported as
-    inconclusive, never silently passed.
+    side; insufficient negative-Sigma statistics leave ``detailed_slope``
+    None (inconclusive), never silently passed.
     """
     for ens in (forward, backward):
         if ens is not None and len(ens) < 2:
@@ -755,4 +757,4 @@ def ft_estimators(forward, backward=None):
         if ok.sum() >= 2 and np.any(xs[ok] < 0):
             _, slope, slope_err, _, _ = _log_ratio_line(
                 xs[ok], nf[ok], nb[ok], sf.size, sb.size)
-    return FTReport(est, stderr, frac_neg, slope, slope_err, slope is None)
+    return FTReport(est, stderr, frac_neg, slope, slope_err)

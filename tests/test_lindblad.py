@@ -161,6 +161,40 @@ class TestPropagate:
         with pytest.raises(ValueError, match="time t must be finite"):
             qcore.expm_dense(build_liouvillian(gen), t)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_times_array_equals_scalar_calls(self, rng, dim):
+        gen = random_generator(rng, dim=dim, n_channels=3)
+        rho = qcore.random_density_matrix(dim, rng)
+        times = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 20)])
+        stacked = propagate(gen, rho, times)
+        scalar = np.stack([propagate(gen, rho, t) for t in times])
+        assert stacked.shape == scalar.shape and stacked.dtype == scalar.dtype
+        assert stacked.tobytes() == scalar.tobytes()
+        assert np.array_equal(stacked[0], rho)
+
+    def test_times_run_in_chunks(self, rng, monkeypatch):
+        gen = random_generator(rng)
+        rho = qcore.random_density_matrix(3, rng)
+        times = rng.uniform(0.0, 3.0, 7)
+        whole = propagate(gen, rho, times)
+        calls = []
+        expm = lindblad.expm_dense
+        monkeypatch.setattr(lindblad, "expm_dense",
+                            lambda m, t: calls.append(len(t)) or expm(m, t))
+        # room for two 9 x 9 propagators per chunk
+        monkeypatch.setattr(lindblad, "BATCH_BYTES", 2 * 16 * 3 ** 4)
+        assert propagate(gen, rho, times).tobytes() == whole.tobytes()
+        assert calls == [2, 2, 2, 1]
+
+    def test_times_array_shapes(self, rng):
+        gen = random_generator(rng)
+        rho = qcore.random_density_matrix(3, rng)
+        assert propagate(gen, rho, []).shape == (0, 3, 3)
+        with pytest.raises(ValueError, match="1-D array"):
+            propagate(gen, rho, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="time t must be finite.*nan"):
+            propagate(gen, rho, [0.5, math.nan])
+
     def test_single_dot_closed_form(self):
         gen, _, res, nf = single_dot(kappa=0.4)
         p1_0 = 0.9

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qthermo import lindblad, qcore
-from qthermo.fcs import (CountingConfig, CountingField, CountingError,
-                         counting_liouvillian, cumulants)
+from qthermo.fcs import (CountingError, counting_liouvillian, cumulants,
+                         particle_weights)
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, MultistabilityError,
                               ThermoLedger, all_currents,
                               entropy_production_rate, steady_state)
@@ -76,7 +76,7 @@ def ldb_sweep(dim, seed, n_points):
         machines.append((GKLSGenerator(h, tuple(channels)),
                          ThermoLedger(h_td, np.diag(numbers), reservoirs)))
     weights = tuple(float(w) for w in rng.integers(-2, 3, len(channels)))
-    return machines, CountingConfig((CountingField("w", weights),))
+    return machines, weights
 
 
 def assert_bitwise(out, ref):
@@ -89,13 +89,13 @@ def assert_bitwise(out, ref):
 @given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
        n_points=st.integers(1, 5), chunk=st.sampled_from([None, 1, 2]))
 def test_batch_equals_slices(dim, seed, n_points, chunk):
-    machines, cfg = ldb_sweep(dim, seed, n_points)
+    machines, weights = ldb_sweep(dim, seed, n_points)
     gen, ledger = stack_sweep(machines)
     budget = lindblad.BATCH_BYTES if chunk is None else \
         chunk * 16 * dim ** 4 * (len(gen.channels) + 8)
     with mock.patch.object(lindblad, "BATCH_BYTES", budget):
         rho = steady_state(gen)
-        reports = cumulants(gen, cfg, "w")
+        cs = cumulants(gen, weights)
     currents = all_currents(gen, ledger, rho)
     sigma_dot = entropy_production_rate(gen, ledger, rho)
     assert gen.batch_shape == (n_points,)
@@ -108,9 +108,8 @@ def test_batch_equals_slices(dim, seed, n_points, chunk):
             assert_bitwise(currents[tag][1][i], work)
         assert_bitwise(sigma_dot[i],
                        entropy_production_rate(one_gen, one_ledger, one_rho))
-        for report, one in zip(reports, cumulants(one_gen, cfg, "w")):
-            assert report.order == one.order
-            assert_bitwise(report.value[i], one.value)
+        for c, one in zip(cs, cumulants(one_gen, weights)):
+            assert_bitwise(c[i], one)
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,10 +166,9 @@ def test_counting_liouvillian_equals_points(n_points):
     # have the same length
     machines = engine_points(n_points)
     gen, _ = stack_sweep(machines)
-    cfg = CountingConfig.particle(gen, "c")
-    field = {cfg.fields[0].name: 0.3}
-    assert_bitwise(counting_liouvillian(gen, cfg, field),
-                   np.stack([counting_liouvillian(one_gen, cfg, field)
+    phases = 0.3 * particle_weights(gen, "c")
+    assert_bitwise(counting_liouvillian(gen, phases),
+                   np.stack([counting_liouvillian(one_gen, phases)
                              for one_gen, _ in machines]))
 
 
