@@ -99,6 +99,7 @@ def test_batch_equals_slices(dim, seed, n_points, chunk):
     currents = all_currents(gen, ledger, rho)
     sigma_dot = entropy_production_rate(gen, ledger, rho)
     assert gen.batch_shape == (n_points,)
+    assert cs.shape == (4, n_points)
     for i, (one_gen, one_ledger) in enumerate(machines):
         one_rho = steady_state(one_gen)
         assert_bitwise(rho[i], one_rho)
