@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .qcore import (KB, NumericalError, eig_general, expm_dense,
                     raise_first_failure, trace_vector, vectorize)
@@ -199,6 +198,7 @@ def cumulants(gen, weights, max_order=4):
 
 def _cumulants(gen, weights, max_order):
     """lambda_1..lambda_max_order of every point, shape (..., max_order)."""
+    import scipy.linalg
     bare = build_liouvillian(gen)
     values, vectors = eig_general(bare)
     nu, gap = values[..., 0], -values[..., 1].real
@@ -254,11 +254,15 @@ def tur_audit(mean_current, variance_rate, sigma_dot):
     ratio >= bound. Provable for classical Markov dynamics; reported, not
     enforced, since quantum-coherent generators may violate it. At
     Sigma_dot <= 0 the bound is infinite and ``satisfied`` is None. A
-    mean current whose square is 0 raises :class:`CountingError`.
+    mean current whose square is 0 or overflows raises :class:`CountingError`.
     """
-    if mean_current ** 2 == 0.0:
+    try:
+        square = float(mean_current) ** 2
+    except OverflowError:
+        raise CountingError("TUR audit: mean current ** 2 overflows") from None
+    if square == 0.0:
         raise CountingError("TUR audit needs a nonzero mean current")
-    ratio = variance_rate / mean_current ** 2
+    ratio = variance_rate / square
     if sigma_dot <= 0.0:
         return TURAudit(ratio, math.inf, None)
     return TURAudit(ratio, 2.0 * KB / sigma_dot,

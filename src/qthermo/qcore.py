@@ -21,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
 # Boltzmann constant. Temperatures are k_B*T in energy units, so the
 # numerical value is 1, but it is written out wherever it belongs.
@@ -260,5 +259,6 @@ def expm_dense(m, t):
     if bad.size:
         raise ValueError(f"propagation time t must be finite and >= 0, "
                          f"got {bad[0]}")
+    import scipy.linalg
     return scipy.linalg.expm(np.asarray(m, dtype=complex)
                              * times[..., None, None])

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .qcore import (KB, TOL_COMMUTE, TOL_PSD, TOL_TRACE, dagger, hermitize,
                     is_hermitian, kron, partial_trace)
@@ -82,7 +81,11 @@ def fermi_dirac(omega, res):
     """Fermi-Dirac occupation 1/(e^{(omega-mu)/k_B T} + 1)."""
     if res.statistics != FERMIONIC:
         raise ValueError("fermi_dirac requires a fermionic reservoir")
-    return float(expit(-res.beta * (omega - res.chemical_potential)))
+    x = -res.beta * (omega - res.chemical_potential)
+    try:  # scipy.special.expit(x) bit for bit; its 1/(1 + inf) is 0
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def bose_einstein(omega, res):

@@ -32,11 +32,11 @@ execution order or batch size. Seeds are integers in [0, 2**64 - 1].
   next two draws (waiting time, channel) and moves on to the next batch
   when fewer than two are left, so draw 63 is never used. The waiting
   time out of a state of escape rate r is -log(1 - u) / r, with the C
-  library's log (the one ``math.log`` calls) applied as a ufunc through
-  ``scipy.special.xlogy(1, .)``, so ensembles are bit-reproducible for a
-  given libm. The sampler reads the streams block by block: block b of
-  every trajectory still alive, in slices of at most ``_CHUNK``
-  trajectories, then block b + 1 for the survivors.
+  library's log (the one ``math.log`` calls) applied as a ufunc by
+  ``_libm_log``, so ensembles are bit-reproducible for a given libm. The
+  sampler reads the streams block by block: block b of every trajectory
+  still alive, in slices of at most ``_CHUNK`` trajectories, then block
+  b + 1 for the survivors.
 """
 
 import math
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .lindblad import validate_ledger
 from .qcore import KB, TOL_TRACE, dagger, expm_dense, hermitize
@@ -550,6 +549,12 @@ def _role(position):
     return "wait" if position % 2 == (position < 63) else "move"
 
 
+def _libm_log(x):
+    """libm's log (math.log's) as a ufunc; np.log's SIMD kernel may differ."""
+    from scipy.special import xlogy
+    return xlogy(1.0, x)
+
+
 def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     """Gillespie sampling of a population-closed generator.
 
@@ -672,10 +677,7 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
             initial[traj] = state
             t = np.zeros(traj.size)
         elif role == "wait":
-            # xlogy(1, .) applies the C library's log, the one math.log
-            # calls; np.log's SIMD kernel differs from it in the last bit
-            # for some inputs
-            dt = -xlogy(1.0, 1.0 - u) / totals.take(state)
+            dt = -_libm_log(1.0 - u) / totals.take(state)
             t = t + dt
         else:
             x = u * totals.take(state)

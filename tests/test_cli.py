@@ -1,12 +1,19 @@
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qthermo import cli, trajectories
 from qthermo.cli import ConfigError, load_config, main, run, validate
@@ -38,6 +45,36 @@ def read_body(path):
     """CSV lines without the '#' metadata block."""
     with open(path) as fh:
         return [line for line in fh if not line.startswith("#")]
+
+
+def main_quietly(argv):
+    """``main``'s exit code and stderr, with stdout and warnings dropped."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def mutable_keys():
+    """(config, section, key) of every seed, params and sweep key of the
+    committed configs; section None is the top level."""
+    keys = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        keys.append((path.stem, None, "seed"))
+        keys += [(path.stem, section, key) for section in ("params", "sweep")
+                 for key in cfg.get(section, {})]
+    return keys
+
+
+MISSING = "(missing)"
+# a wrong type, 0, negative, huge, subnormal, or no key at all
+MUTATIONS = ["x", True, None, [1.0], 0, -1, -0.5, 2**70, 1e300, 1e-320,
+             MISSING]
+# caps on the committed counts, so that each run stays small
+COUNT_CAPS = {"n_traj": 200, "n_samples": 200, "steps": 4}
 
 
 class TestConfigParsing:
@@ -348,6 +385,21 @@ class TestSweepFailures:
         assert main(["run", path]) == 3
         assert capsys.readouterr().err == \
             "numerical failure: TUR audit needs a nonzero mean current\n"
+        assert not (tmp_path / "fcs.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_mean_current_is_numerical_failure(self, tmp_path,
+                                                           capsys):
+        # the committed fcs sweep at kappa_R = 1e300: a mean current whose
+        # square overflows (a one-key mutation found its traceback)
+        config = json.loads((CONFIGS / "fcs_biased_dot.json").read_text())
+        config["params"]["kappa_R"] = 1e300
+        config["output"]["path"] = str(tmp_path / "fcs.csv")
+        path = write_config(tmp_path / "fcs.json", config)
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: TUR audit: mean current ** 2 overflows\n"
         assert not (tmp_path / "fcs.csv").exists()
 
     def test_error_of_no_point_is_raised_as_is(self, tmp_path, capsys,
@@ -805,6 +857,40 @@ class TestValidate:
         assert capsys.readouterr().out.splitlines() == \
             [f"warning: {msg}" for msg in raised]
 
+    @settings(max_examples=30, deadline=None)
+    @given(target=st.sampled_from(mutable_keys()),
+           value=st.sampled_from(MUTATIONS))
+    def test_one_key_mutation_keeps_the_contract(self, target, value):
+        """Change one key of a committed config: both commands exit 0, 2
+        or 3 with no other exception; a config error from ``validate`` is
+        ``run``'s too, with the same message; a config ``validate``
+        accepts runs or fails numerically. Absorption configs are only
+        validated: a transient whose t_max falls short of the first
+        minimum t_min fails in ``run`` alone (see ``cli``)."""
+        name, section, key = target
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        for part in (cfg["params"], cfg.get("sweep", {})):
+            part.update({k: min(part[k], cap)
+                         for k, cap in COUNT_CAPS.items() if k in part})
+        where = cfg if section is None else cfg[section]
+        if value == MISSING:
+            del where[key]
+        else:
+            where[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg["output"]["path"] = os.path.join(tmp, "out.csv")
+            path = write_config(Path(tmp) / "config.json", cfg)
+            validated, message = main_quietly(["validate", path])
+            assert validated in (0, 2, 3)
+            if cfg["experiment"] == "absorption":
+                return
+            ran, run_message = main_quietly(["run", path])
+        assert ran in (0, 2, 3)
+        if validated == 2:
+            assert (ran, run_message) == (2, message)
+        if validated == 0:
+            assert ran in (0, 3), run_message
+
     @pytest.mark.parametrize("experiment, extra", [
         ("fcs", {}), ("trajectories", {"tau": 2.0, "n_traj": 10})])
     def test_dot_margin_warnings(self, tmp_path, capsys, experiment, extra):
@@ -818,3 +904,55 @@ class TestValidate:
         assert len(out) == 2
         for line, tag in zip(out, "LR"):
             assert line.startswith(f"warning: reservoir {tag!r} coupling: ")
+
+
+# Which scipy modules a fresh interpreter holds after each step; the
+# suite's own process has imported scipy during collection.
+_SCIPY_PROBE = """
+import json, sys, warnings
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+loaded = {}
+
+def note(step):
+    loaded[step] = sorted(k for k in sys.modules
+                          if k.split(".")[0] == "scipy")
+
+import qthermo
+note("import qthermo")
+import qthermo.cli as cli
+note("import qthermo.cli")
+warnings.simplefilter("ignore")
+with redirect_stdout(StringIO()):
+    for path in sorted(configs.glob("*.json")):
+        cli.validate(str(path))
+note("validate")
+for name in sys.argv[3:]:
+    cli.run(str(configs / f"{name}.json"), out=str(out / f"{name}.csv"))
+    note(f"run {name}")
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_on_first_use(tmp_path):
+    """Importing qthermo, validating every config and running the four
+    configs that need no scipy function leave scipy unloaded; the fcs run
+    loads scipy.linalg (its bordered LU) but not scipy.special."""
+    without = ["heat_engine_levels", "heat_engine_lasso",
+               "double_dot_entanglement", "tpm_quench"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(CONFIGS), str(tmp_path),
+         *without, "fcs_biased_dot"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    for step in ["import qthermo", "import qthermo.cli", "validate",
+                 *(f"run {name}" for name in without)]:
+        assert loaded[step] == [], f"{step} loaded {loaded[step][:5]} ..."
+    fcs = loaded["run fcs_biased_dot"]
+    assert "scipy.linalg" in fcs and "scipy.special" not in fcs

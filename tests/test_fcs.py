@@ -330,6 +330,12 @@ class TestTUR:
         with pytest.raises(CountingError, match="nonzero mean current"):
             tur_audit(1e-170, 1.0, 1.0)
 
+    @pytest.mark.parametrize("mean", [1e200, -1e200, np.float64(1e200)])
+    def test_overflowing_mean_rejected(self, mean):
+        # 1e200 ** 2 overflows: a float's ** raises, numpy's gives inf
+        with pytest.raises(CountingError, match="overflows"):
+            tur_audit(mean, 1.0, 1.0)
+
     def test_engine_form_bounded(self):
         # printed engine combination evaluates <= 1/2 (trivially negative
         # in the engine regime); the tight version is tur_audit itself

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,47 @@ class TestOccupations:
         ratio = (1 - nf) / nf
         expected = math.exp(FERMI_RES.beta * (omega - FERMI_RES.chemical_potential))
         assert ratio == pytest.approx(expected, rel=1e-12)
+
+    def test_fermi_has_the_bits_of_expit(self):
+        """fermi_dirac is libm's 1/(1 + e^x); scipy.special.expit(-x) has
+        the same bits both per scalar and as an array ufunc, so a sweep
+        builder may use either. Seeded arguments over the whole float
+        range, the overflow band around log(max float), +-0, +-inf, nan
+        and subnormals; a subnormal temperature makes beta = inf."""
+        from scipy.special import expit
+        rng = np.random.default_rng(2024)
+        log_max = math.log(sys.float_info.max)
+        tiny = sys.float_info.min
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                   -5e-324, tiny * (1 - 2**-52), -tiny / 3, tiny, log_max,
+                   math.nextafter(log_max, 800), -log_max]
+        omegas = np.concatenate([
+            rng.uniform(-800.0, 800.0, 2**17),
+            rng.choice([-1.0, 1.0], 2**17) * 10.0 ** rng.uniform(-323, 308,
+                                                                 2**17),
+            np.linspace(709.0, 710.0, 4001),
+            log_max + np.arange(-64, 65) * np.spacing(log_max),
+            special])
+        reservoirs = [ReservoirSpec(temperature=1.0),
+                      ReservoirSpec(temperature=0.37, chemical_potential=0.2),
+                      ReservoirSpec(temperature=2.9, chemical_potential=-1.3),
+                      ReservoirSpec(temperature=1e-320,
+                                    chemical_potential=0.5)]
+        assert math.isinf(reservoirs[-1].beta)
+        for res in reservoirs:
+            beta, mu = res.beta, res.chemical_potential
+            got = np.array([fermi_dirac(w, res) for w in omegas.tolist()])
+            per_scalar = np.array([float(expit(-beta * (w - mu)))
+                                   for w in omegas.tolist()])
+            with np.errstate(all="ignore"):
+                as_ufunc = expit(-beta * (omegas - mu))
+            for name, ref in (("per scalar", per_scalar),
+                              ("as a ufunc", as_ufunc)):
+                bad = np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))
+                assert bad.size == 0, (
+                    f"T = {res.temperature}, mu = {mu}: fermi_dirac differs "
+                    f"from expit {name} on {bad.size} of {omegas.size} "
+                    f"arguments, first at omega = {omegas[bad[0]]!r}")
 
     def test_fermi_strictly_decreasing(self):
         omegas = np.linspace(-3, 3, 40)

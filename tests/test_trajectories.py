@@ -833,7 +833,7 @@ def test_waiting_time_log_is_libm_log():
     args = np.concatenate([1.0 - (words >> np.uint64(11)) * 2.0**-53,
                            [1.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
     expected = np.array([math.log(a) for a in args.tolist()])
-    got = trajectories.xlogy(1.0, args)
+    got = trajectories._libm_log(args)
     bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
     assert bad.size == 0, (
         f"scipy.special.xlogy(1, .) differs from math.log (the C library's "
