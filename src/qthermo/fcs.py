@@ -12,9 +12,9 @@ at 0 are the current cumulants.
 :func:`cumulants` computes those derivatives exactly, without finite
 differences, by the Rayleigh-Schroedinger recursion for the eigenpair of
 L(s) = L0 + sum_k s^k/k! L_k around the steady state. Each order costs
-one solve with a single LU factorisation of the bordered matrix
-[[L0, rho_ss], [<<1|, 0]], which is nonsingular exactly when the kernel
-of L0 is one-dimensional (a unique steady state); otherwise the
+one solve with the bordered matrix [[L0, rho_ss], [<<1|, 0]], which is
+nonsingular exactly when the kernel of L0 is one-dimensional (a unique
+steady state, judged by ``lindblad.kernel_bound``); otherwise the
 expansion is not unique and :class:`CountingError` is raised.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .qcore import (KB, NumericalError, eig_general, expm_dense,
                     raise_first_failure, trace_vector, vectorize)
-from .lindblad import build_liouvillian, in_chunks
+from .lindblad import build_liouvillian, in_chunks, kernel_bound
 
 
 class CountingError(NumericalError):
@@ -158,13 +158,6 @@ def dominant_eigenvalue_path(gen, weights, chis):
     return out
 
 
-# A spectral gap below TOL_GAP, or a dominant eigenvalue of modulus above
-# TOL_NU_ZERO, at chi = 0 means the kernel of L0 is not one-dimensional,
-# so the dominant eigenvalue has no unique expansion.
-TOL_GAP = 1e-12
-TOL_NU_ZERO = 1e-8
-
-
 def cumulants(gen, weights, max_order=4):
     """Scaled cumulants c_m = (-i d/dchi)^m nu(0), m = 1..max_order, of
     the field with per-channel ``weights``, as a real array of shape
@@ -179,17 +172,16 @@ def cumulants(gen, weights, max_order=4):
         L0 rho_m = Q sum_{k=1..m} C(m,k) (lambda_k - L_k) rho_{m-k},
         Tr rho_m = 0,
 
-    and c_m = Re lambda_m. Every rho_m comes from one LU factorisation
-    of the bordered matrix [[L0, rho_ss], [<<1|, 0]], whose last row
-    fixes the trace and whose last column absorbs the trace of the
-    right-hand side, i.e. applies Q = 1 - |rho_ss>><<1|. The matrix is
-    nonsingular exactly when the kernel of L0 is one-dimensional; a
-    spectral gap below ``TOL_GAP`` (or |nu| above ``TOL_NU_ZERO``) at
-    chi = 0 raises :class:`CountingError`.
+    and c_m = Re lambda_m. Every rho_m comes from a solve with the
+    bordered matrix [[L0, rho_ss], [<<1|, 0]], whose last row fixes the
+    trace and whose last column absorbs the trace of the right-hand
+    side, i.e. applies Q = 1 - |rho_ss>><<1|. The matrix is nonsingular
+    exactly when the kernel of L0 is one-dimensional; a dominant
+    eigenvalue nu of modulus above ``lindblad.kernel_bound``, or a
+    spectral gap at or below it, at chi = 0 raises :class:`CountingError`.
 
-    On a sweep axis (see ``lindblad``) the eigen-decomposition, the LU
-    factorisation and the solves are stacked, each point keeping its
-    bits.
+    On a sweep axis (see ``lindblad``) the eigen-decomposition and the
+    solves are stacked, each point keeping its bits.
     """
     weights = _per_channel(gen, weights, "weights", float)
     lams = in_chunks(_cumulants, gen, weights, max_order)
@@ -198,15 +190,15 @@ def cumulants(gen, weights, max_order=4):
 
 def _cumulants(gen, weights, max_order):
     """lambda_1..lambda_max_order of every point, shape (..., max_order)."""
-    import scipy.linalg
     bare = build_liouvillian(gen)
     values, vectors = eig_general(bare)
-    nu, gap = values[..., 0], -values[..., 1].real
+    nu, gap, tau = values[..., 0], -values[..., 1].real, kernel_bound(gen)
     raise_first_failure([(
-        (np.abs(nu) > TOL_NU_ZERO) | (gap < TOL_GAP),
+        (np.abs(nu) > tau) | (gap <= tau),
         lambda i: CountingError(
             f"dominant eigenvalue not unique/zero at chi = 0 "
-            f"(nu = {nu.flat[i]:.2e}, gap = {gap.flat[i]:.2e})"))])
+            f"(nu = {nu.flat[i]:.2e}, gap = {gap.flat[i]:.2e}, kernel "
+            f"bound {tau.flat[i]:.2e})"))])
     one = trace_vector(gen.dim)
     rho_ss = vectors[..., 0] / _trace(one, vectors[..., 0])[..., None]
     n = bare.shape[-1]
@@ -214,7 +206,6 @@ def _cumulants(gen, weights, max_order):
     bordered[..., :n, :n] = bare
     bordered[..., :n, n] = rho_ss
     bordered[..., n, :n] = one
-    lu = scipy.linalg.lu_factor(bordered)
 
     stack = gen._stack
     jumps = [(stack.rates[..., c, None, None], w,
@@ -231,7 +222,7 @@ def _cumulants(gen, weights, max_order):
             rhs = sum(math.comb(m, k) * lams[k][..., None] * rhos[m - k]
                       for k in range(1, m + 1)) - kicks
             rhs = np.concatenate([rhs, np.zeros(rhs.shape[:-1] + (1,))], -1)
-            rhos.append(scipy.linalg.lu_solve(lu, rhs[..., None])[..., :-1, 0])
+            rhos.append(np.linalg.solve(bordered, rhs[..., None])[..., :-1, 0])
     return np.stack(lams[1:], axis=-1)
 
 

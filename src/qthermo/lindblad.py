@@ -71,7 +71,7 @@ BATCH_BYTES = 2 ** 28
 # Ladder identities [L, H_TD] = omega L, [L, N_S] = n L, relative to
 # max(max|L|, 1).
 TOL_LADDER = 1e-9
-# Kernel dimension: singular values of L at or below TOL_KERNEL * ||L||_2.
+# kernel_bound(gen): TOL_KERNEL times the dissipative scale of L.
 TOL_KERNEL = 1e-10
 # A null vector with |Tr| below this has no normalizable steady state.
 TOL_TRACELESS = 1e-12
@@ -370,11 +370,25 @@ def propagate(gen, rho0, t):
     return rho.reshape(times.shape + rho0.shape)
 
 
+def kernel_bound(gen):
+    """Modulus at or below which L has a kernel direction, per point.
+
+    max(TOL_KERNEL * Gamma, n^2 eps max|L_ij|): Gamma = sum_k gamma_k
+    ||L_k||_F^2 is the dissipative scale, the rest the rounding floor of an
+    n x n solve, n = d^2. Both scale with the units, and Gamma with the
+    coupling; max|L_ij| cannot overflow where a norm of L would.
+    """
+    stack = gen._stack
+    gamma = (stack.rates * np.einsum("...ii", stack.ld_l).real).sum(-1)
+    floor = gen.dim ** 4 * np.finfo(float).eps * _max_abs(gen._liouvillian)
+    return np.maximum(TOL_KERNEL * gamma, floor)
+
+
 def steady_state(gen):
     """Unique steady state from the null space of the Liouvillian.
 
-    The kernel dimension is detected via singular values at or below
-    ``TOL_KERNEL * ||L||``; a degenerate kernel raises
+    The kernel dimension is the number of singular values at or below
+    :func:`kernel_bound`; a degenerate kernel raises
     :class:`MultistabilityError`. The result is trace-normalized and
     hermitized. Over a sweep axis one stacked SVD and one stacked
     ``eigvalsh`` serve every point of a chunk, and each point is checked
@@ -386,8 +400,8 @@ def steady_state(gen):
 def _steady_state(gen):
     liou = build_liouvillian(gen)
     _, svals, vh = np.linalg.svd(liou)
-    scale = np.where(svals[..., 0] > 0, svals[..., 0], 1.0)
-    n_null = np.sum(svals <= TOL_KERNEL * scale[..., None], axis=-1)
+    tau = kernel_bound(gen)
+    n_null = np.sum(svals <= tau[..., None], axis=-1)
     rho = hermitize(unvectorize(vh[..., -1, :].conj()))
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     traceless = np.abs(tr) < TOL_TRACELESS
@@ -397,8 +411,8 @@ def _steady_state(gen):
     min_eval = np.linalg.eigvalsh(rho).min(axis=-1)
     raise_first_failure([
         (n_null == 0, lambda i: MultistabilityError(
-            "no Liouvillian null vector found within "
-            f"tolerance {TOL_KERNEL:.1e}*||L||")),
+            "no Liouvillian null vector found: no singular value at or "
+            f"below the kernel bound {tau.flat[i]:.2e}")),
         (n_null > 1, lambda i: MultistabilityError(
             f"Liouvillian kernel is {n_null.flat[i]}-dimensional; steady "
             "state is not unique (multistability)")),

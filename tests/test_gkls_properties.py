@@ -2,21 +2,25 @@
 
 Every generator here obeys local detailed balance with each of its
 reservoirs, so the second law, the steady-state first law and the
-relaxation to the unique steady state must hold for any draw.
+relaxation to the unique steady state must hold for any draw. Its steady
+state stays unique under a change of units and at weak coupling.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
-from qthermo.fcs import counting_liouvillian, heat_and_work_weights
+from qthermo.fcs import (counting_liouvillian, cumulants,
+                         heat_and_work_weights, particle_weights)
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               all_currents, build_liouvillian,
                               entropy_production_rate, propagate,
                               steady_state)
-from qthermo.thermo import ReservoirSpec
+from qthermo.models import SingleDotParams, single_dot_generator
+from qthermo.thermo import ReservoirSpec, fermi_dirac
 
 
 def ldb_generator(dim, seed):
@@ -102,3 +106,59 @@ def test_zero_field_counting_liouvillian_is_bitwise_bare(pair):
         for weights in heat_and_work_weights(gen, ledger, tag):
             assert np.array_equal(counting_liouvillian(gen, 0.0 * weights),
                                   build_liouvillian(gen))
+
+
+def single_dot(kappa):
+    """The biased single dot of ``fcs_biased_dot`` with kappa_L = kappa_R."""
+    return single_dot_generator(SingleDotParams(1.0, {
+        "L": ReservoirSpec(0.5, 0.8, "fermionic", kappa),
+        "R": ReservoirSpec(0.5, -0.8, "fermionic", kappa)}))
+
+
+def rescaled(gen, s=1.0, r=1.0):
+    """``gen`` with every energy multiplied by s and every rate by s r."""
+    return GKLSGenerator(gen.hamiltonian * s, tuple(
+        replace(ch, rate=ch.rate * s * r, energy_quantum=ch.energy_quantum * s)
+        for ch in gen.channels))
+
+
+def heat_field(gen, ledger):
+    """Per-channel heat weights into the first reservoir."""
+    return heat_and_work_weights(gen, ledger, gen.reservoirs()[0])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.one_of(generators, st.builds(single_dot, st.just(0.01))),
+       exponent=st.floats(-12.0, 12.0))
+def test_change_of_units(pair, exponent):
+    # s L has the kernel of L and s times its cumulants, to rounding
+    gen, ledger = pair
+    s = 10.0 ** exponent
+    weights = heat_field(gen, ledger)
+    scaled = rescaled(gen, s)
+    assert np.abs(steady_state(scaled) - steady_state(gen)).max() <= 1e-12
+    # order m against its scale sum_k gamma_k |w_k|^m, as some c_m are 0
+    rates = np.array([ch.rate for ch in gen.channels])
+    scale = np.array([rates @ np.abs(weights) ** m for m in range(1, 5)])
+    error = np.abs(cumulants(scaled, weights) / s - cumulants(gen, weights))
+    assert np.all(error <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=generators, exponent=st.floats(-10.0, 0.0))
+def test_weak_coupling(pair, exponent):
+    # rates far below the level spacings leave the kernel one-dimensional
+    gen, ledger = pair
+    weak = rescaled(gen, r=10.0 ** exponent)
+    rho = steady_state(weak)
+    assert np.linalg.eigvalsh(rho).min() >= -qcore.TOL_PSD_STEADY
+    assert np.all(np.isfinite(cumulants(weak, heat_field(gen, ledger))))
+
+
+def test_single_dot_at_weak_coupling():
+    kappa = 1e-13
+    gen, ledger = single_dot(kappa)
+    n_l, n_r = (fermi_dirac(1.0, res) for res in ledger.reservoirs.values())
+    assert abs(steady_state(gen)[1, 1] - (n_l + n_r) / 2) <= 1e-12
+    current = cumulants(gen, particle_weights(gen, "R"), 1)[0]
+    assert abs(current / (kappa * (n_l - n_r) / 2) - 1) <= 1e-12

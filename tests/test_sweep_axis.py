@@ -195,7 +195,7 @@ def test_failing_point_is_named():
     with pytest.raises(MultistabilityError, match="dimensional"):
         steady_state(gen)
     with pytest.raises(CountingError, match="not unique"):
-        cumulants(gen, cfg, "w")
+        cumulants(gen, cfg)
     with mock.patch.object(lindblad, "BATCH_BYTES", 1):
         with pytest.raises(MultistabilityError):
             steady_state(gen)
