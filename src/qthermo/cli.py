@@ -22,8 +22,9 @@ along a leading sweep axis (see ``qthermo.lindblad``): each stage acts on
 all points at once, and the table has one row per point, in sweep order.
 When the batch fails, its points run again one at a time, in sweep order,
 and the first that fails reports its own error, the one a point-by-point
-run would have stopped at. An absorption transient's ``t_max`` must
-exceed the first temperature minimum t_min, which only ``run`` computes.
+run would have stopped at. An absorption transient is one call of
+``models.fridge_switchoff_transient``; its ``t_max`` must exceed the first
+temperature minimum t_min, which only ``run`` computes.
 """
 
 import argparse
@@ -43,10 +44,8 @@ from .lindblad import (all_currents, entropy_production_rate, propagate,
                        steady_state)
 from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
                      double_dot_sweep_concurrence, entanglement_heat_threshold,
-                     fridge_coherent_transient, fridge_generator,
-                     fridge_sweep_observables, fridge_switchoff_protocol,
+                     fridge_sweep_observables, fridge_switchoff_transient,
                      single_dot_generator, stack_sweep)
-from .models.fridge import product_gibbs_state
 from .models.single_dot import engine_efficiency, regime_from_currents
 from .qcore import NumericalError
 from .thermo import ReservoirSpec
@@ -283,29 +282,10 @@ def _fridge_table(points, seed):
 
 
 def _fridge_transient_table(points, seed):
-    # run with the interaction on until the first temperature minimum,
-    # switch off there, keep recording
     [(params, t_max, steps)] = points
-    t_min, _, _ = fridge_switchoff_protocol(params)
-    if t_max is not None and t_max <= t_min:
-        raise ConfigError(f"params.t_max = {t_max} must exceed the first "
-                          f"temperature minimum t_min = {t_min}")
-    horizon = t_max if t_max is not None else 3.0 * t_min
-    n_on = max(2, int(steps * t_min / horizon) + 1)
-    times_on, occ_on, theta_on = fridge_coherent_transient(params, t_min, n_on)
-    off = FridgeParams(params.eps_c, params.eps_h, 0.0, params.reservoirs)
-    gen_on, _ = fridge_generator(params)
-    rho_at_min = propagate(gen_on, product_gibbs_state(params), t_min)
-    n_off = max(2, steps - n_on)
-    times_off, occ_off, theta_off = fridge_coherent_transient(
-        off, horizon - t_min, n_off, rho0=rho_at_min)
-    # the off segment starts where the on segment ends, at t_min
     return (["t", "occupation", "theta", "refrigerator_on"],
             ["1/kref", "1", "kref", "bool"],
-            [np.concatenate([times_on, t_min + times_off[1:]]),
-             np.concatenate([occ_on, occ_off[1:]]),
-             np.concatenate([theta_on, theta_off[1:]]),
-             np.repeat([1, 0], [n_on, n_off - 1])])
+            fridge_switchoff_transient(params, t_max, steps))
 
 
 _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}

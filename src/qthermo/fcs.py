@@ -110,7 +110,7 @@ def cgf(gen, phases, t, rho0):
     n_steps = max(8, int(math.ceil(np.linalg.norm(tilted) * t)))
     step = expm_dense(tilted, t / n_steps)
     vec = vectorize(np.asarray(rho0, dtype=complex))
-    tr_vec = vectorize(np.eye(gen.dim)).conj()
+    tr_vec = trace_vector(gen.dim)
     total = 0.0 + 0.0j
     for j in range(n_steps):
         vec = step @ vec

@@ -11,7 +11,8 @@ from .double_dot import (DoubleDotParams, double_dot_concurrence,
                          entanglement_heat_threshold)
 from .fridge import (FridgeParams, fridge_coherent_transient, fridge_generator,
                      fridge_observables, fridge_perturbative_I,
-                     fridge_sweep_observables, fridge_switchoff_protocol)
+                     fridge_sweep_observables, fridge_switchoff_protocol,
+                     fridge_switchoff_transient)
 from .common import ValidityWarning, stack_sweep
 
 __all__ = [
@@ -25,6 +26,6 @@ __all__ = [
     "FridgeParams", "fridge_generator", "fridge_observables",
     "fridge_sweep_observables",
     "fridge_perturbative_I", "fridge_coherent_transient",
-    "fridge_switchoff_protocol",
+    "fridge_switchoff_protocol", "fridge_switchoff_transient",
     "ValidityWarning", "stack_sweep",
 ]

@@ -8,11 +8,14 @@ basis. Each qubit exchanges photons with its own bosonic reservoir
 
 A heat flow hot -> room drags heat out of the cold reservoir; the
 tendency is captured by the single number I = 2g Im<sigma_r† sigma_c
-sigma_h>, with J_c = -eps_c I, J_h = -eps_h I, J_r = +eps_r I.
+sigma_h>, with J_c = -eps_c I, J_h = -eps_h I, J_r = +eps_r I. The
+coherent switch-off protocol (interaction off at the first temperature
+minimum) is ``fridge_switchoff_transient``. Every cold-qubit temperature
+follows one rule: theta(p) where 0 < p < 1/2, else inf.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -70,6 +73,9 @@ class FridgeParams:
         for tag, res in self.reservoirs.items():
             if res.statistics != "bosonic":
                 raise ValueError(f"reservoir {tag!r} must be bosonic (mu = 0)")
+            if not math.isfinite(bose_einstein(self.gap(tag), res)):
+                raise ValueError(f"qubit {tag!r}: Bose occupation not finite "
+                                 f"at eps/k_B T = {res.beta * self.gap(tag)}")
 
     def gap(self, tag):
         return {"c": self.eps_c, "h": self.eps_h, "r": self.eps_r}[tag]
@@ -82,9 +88,10 @@ class FridgeParams:
 
     def effective_rate(self, tag):
         """kappa = kappa_bare * n_B / n_F, the rate in the Fermi form."""
-        res = self.reservoirs[tag]
-        n_b = bose_einstein(self.gap(tag), res)
-        return res.coupling * n_b / self.qubit_occupation(tag)
+        res, n_f = self.reservoirs[tag], self.qubit_occupation(tag)
+        if n_f == 0.0:  # underflow at large eps/k_B T, where n_B / n_F -> 1
+            return res.coupling
+        return res.coupling * bose_einstein(self.gap(tag), res) / n_f
 
 
 def hamiltonian(params):
@@ -185,10 +192,8 @@ def fridge_sweep_observables(sweep):
                 raise NumericalError(
                     f"bookkeeping J_{tag} = {currents[tag][i]} disagrees with "
                     f"structural value {structural[tag]}")
-        theta = (effective_temperature(occs[i], params.eps_c)
-                 if occs[i] < 0.5 else math.inf)
         return (amp, currents["c"][i], currents["h"][i], currents["r"][i],
-                theta, amp > 0.0)
+                _thetas([occs[i]], params.eps_c).item(), amp > 0.0)
 
     return [point(i) for i in range(len(sweep))]
 
@@ -211,29 +216,34 @@ def fridge_perturbative_I(params):
     return 4.0 * params.g ** 2 * occupation_imbalance(params) / kappa_sum
 
 
-def fridge_coherent_transient(params, t_max, n_steps, rho0=None):
-    """Occupation and effective temperature of the cold qubit vs time.
-
-    Starts from the product Gibbs state (the refrigerator-off fixed
-    point) unless ``rho0`` is given; returns (times, occupations,
-    thetas). For kappa -> 0 the occupation converges pointwise to
-    n_F^c - delta_n sin^2(g t).
-    """
+def fridge_coherent_transient(params, t_max, n_steps):
+    """(times, occupations, thetas) of the cold qubit from the product Gibbs
+    state, the refrigerator-off fixed point. For kappa -> 0 the occupation
+    converges pointwise to n_F^c - delta_n sin^2(g t)."""
     gen, _ = fridge_generator(params)
-    rho = product_gibbs_state(params) if rho0 is None else np.asarray(rho0)
     times = np.linspace(0.0, t_max, n_steps)
-    occs = np.empty(n_steps)
-    if n_steps > 1:
+    occs = _occupations(gen, product_gibbs_state(params), times)
+    return times, occs, _thetas(occs, params.eps_c)
+
+
+def _occupations(gen, rho, times):
+    """Cold-qubit occupation from ``rho`` at the equally spaced ``times``."""
+    occs = np.empty(len(times))
+    if len(times) > 1:
         step_prop = expm_dense(build_liouvillian(gen), times[1] - times[0])
     vec = vectorize(rho.astype(complex))
     num_vec = vectorize(_NUM["c"]).conj()
-    for j in range(n_steps):
+    for j in range(len(times)):
         occs[j] = (num_vec @ vec).real
-        if j + 1 < n_steps:
+        if j + 1 < len(times):
             vec = step_prop @ vec
-    thetas = np.array([effective_temperature(p, params.eps_c) if 0 < p < 0.5
-                       else math.inf for p in occs])
-    return times, occs, thetas
+    return occs
+
+
+def _thetas(occs, eps_c):
+    """The one theta rule: theta of each occupation p in (0, 1/2), else inf."""
+    return np.array([effective_temperature(p, eps_c) if 0.0 < p < 0.5
+                     else math.inf for p in occs])
 
 
 def _golden_section_min(f, lo, hi, tol):
@@ -255,37 +265,52 @@ def _golden_section_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def fridge_switchoff_protocol(params):
-    """Locate the first transient minimum of the cold-qubit temperature.
-
-    Coarse scan at step 0.01/g, golden-section refinement to T_MIN_WIDTH/g.
-    Returns (t_min, theta_min, theta_ss). Raises ``NumericalError`` when
-    no interior minimum exists within T_MIN_HORIZON_PERIODS periods pi/g
-    (e.g. when delta_n <= 0 and the occupation never dips).
-    """
+def _first_minimum(params, gen, rho0):
+    """(t_min, occupation) at the first minimum of the cold-qubit occupation
+    from ``rho0``: coarse scan at step 0.01/g, golden-section refinement to
+    T_MIN_WIDTH/g. ``NumericalError`` when no interior minimum exists
+    within T_MIN_HORIZON_PERIODS periods pi/g (e.g. delta_n <= 0)."""
     if params.g <= 0:
         raise ValueError("protocol requires g > 0")
-    gen, _ = fridge_generator(params)
-    rho0 = product_gibbs_state(params)
-
-    def occupation_at(t):
-        return float(np.trace(_NUM["c"] @ propagate(gen, rho0, t)).real)
-
     horizon = T_MIN_HORIZON_PERIODS * math.pi / params.g
-    step = 0.01 / params.g
-    n_coarse = int(horizon / step) + 1
-    times, occs, _ = fridge_coherent_transient(params, horizon, n_coarse)
-    interior = None
+    times = np.linspace(0.0, horizon, int(horizon / (0.01 / params.g)) + 1)
+    occs = _occupations(gen, rho0, times)
     for j in range(1, len(occs) - 1):
         if occs[j] <= occs[j - 1] and occs[j] <= occs[j + 1]:
-            interior = j
-            break
-    if interior is None:
-        raise NumericalError("no occupation minimum found within the horizon")
-    t_min, occ_min = _golden_section_min(
-        occupation_at, times[interior - 1], times[interior + 1],
-        T_MIN_WIDTH / params.g)
-    theta_min = effective_temperature(occ_min, params.eps_c)
+            return _golden_section_min(
+                lambda t: np.trace(_NUM["c"] @ propagate(gen, rho0, t)).real,
+                times[j - 1], times[j + 1], T_MIN_WIDTH / params.g)
+    raise NumericalError("no occupation minimum found within the horizon")
+
+
+def fridge_switchoff_protocol(params):
+    """(t_min, theta_min, theta_ss): the first minimum of the cold-qubit
+    temperature from the product Gibbs state, and the steady state's."""
+    gen, _ = fridge_generator(params)
+    t_min, occ_min = _first_minimum(params, gen, product_gibbs_state(params))
     occ_ss = float(np.trace(_NUM["c"] @ steady_state(gen)).real)
-    theta_ss = effective_temperature(occ_ss, params.eps_c)
-    return t_min, theta_min, theta_ss
+    return (t_min, *_thetas([occ_min, occ_ss], params.eps_c).tolist())
+
+
+def fridge_switchoff_transient(params, t_max, steps):
+    """Columns (t, occupation, theta, interaction on) of ``steps`` rows
+    from the product Gibbs state: the interaction is on up to the first
+    temperature minimum t_min, then off (g = 0) up to ``t_max`` (3 t_min
+    when None), which must exceed t_min."""
+    gen_on, _ = fridge_generator(params)
+    rho0 = product_gibbs_state(params)
+    t_min, _ = _first_minimum(params, gen_on, rho0)
+    if t_max is not None and t_max <= t_min:
+        raise ValueError(f"params.t_max = {t_max} must exceed the first "
+                         f"temperature minimum t_min = {t_min}")
+    horizon = t_max if t_max is not None else 3.0 * t_min
+    n_on = max(2, int(steps * t_min / horizon) + 1)
+    n_off = max(2, steps - n_on)
+    times_on = np.linspace(0.0, t_min, n_on)
+    times_off = np.linspace(0.0, horizon - t_min, n_off)
+    gen_off, _ = fridge_generator(replace(params, g=0.0))
+    occs = np.concatenate([
+        _occupations(gen_on, rho0, times_on),
+        _occupations(gen_off, propagate(gen_on, rho0, t_min), times_off)[1:]])
+    return (np.concatenate([times_on, t_min + times_off[1:]]), occs,
+            _thetas(occs, params.eps_c), np.repeat([1, 0], [n_on, n_off - 1]))

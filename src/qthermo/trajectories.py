@@ -415,12 +415,8 @@ class TrajectoryEnsemble:
     entropy_change: np.ndarray
     entropy_production: np.ndarray
     events: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    p_initial: np.ndarray
     p_final: np.ndarray
     tau: float
-    seed: int
-    basis: np.ndarray
-    rate_matrix: np.ndarray
 
     def __len__(self):
         return self.initial.size
@@ -429,9 +425,9 @@ class TrajectoryEnsemble:
 def _jump_tables(gen, ledger):
     """Diagonalize H_TD, verify population closure, tabulate the jumps.
 
-    Returns (basis, classical rate matrix, reservoirs, state tables,
-    quanta). Row j of the state tables ``cum``, ``targets`` and
-    ``channels`` lists the moves out of state j in channel order:
+    Returns (classical rate matrix, reservoirs, state tables, quanta).
+    Row j of the state tables ``cum``, ``targets`` and ``channels``
+    lists the moves out of state j in channel order:
     cumulative rates (summed left to right), target states and channel
     indices, padded with +inf / -1 up to the widest row. ``totals[j]`` is
     the escape rate, ``cum[j]``'s last finite entry. The quanta
@@ -490,7 +486,7 @@ def _jump_tables(gen, ledger):
     keep = max(1, int(width.max()))
     tables = (totals, *(a[:, :keep].copy() for a in (cum, targets, channels)))
     quanta = (np.array(res_idx, dtype=np.int64), np.array(dq), np.array(dw))
-    return basis, rate_matrix, reservoirs, tables, quanta
+    return rate_matrix, reservoirs, tables, quanta
 
 
 # Philox4x64-10 multipliers and Weyl key increments (Random123).
@@ -578,7 +574,7 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     validate_ledger(gen, ledger)
-    basis, rate_matrix, reservoirs, tables, quanta = _jump_tables(gen, ledger)
+    rate_matrix, reservoirs, tables, quanta = _jump_tables(gen, ledger)
     dim = rate_matrix.shape[0]
     p0 = np.asarray(p0, dtype=float)
     if (p0.shape != (dim,) or not np.isfinite(p0).all()
@@ -636,9 +632,7 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         heat={a: heat[r] for r, a in enumerate(reservoirs)},
         work={a: work[r] for r, a in enumerate(reservoirs)},
         entropy_change=entropy_change, entropy_production=sigma,
-        events=events,
-        p_initial=p0, p_final=p_tau, tau=tau, seed=seed,
-        basis=basis, rate_matrix=rate_matrix)
+        events=events, p_final=p_tau, tau=tau)
 
 
 def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qthermo import cli, trajectories
+from qthermo import cli, lindblad, trajectories
 from qthermo.cli import ConfigError, load_config, main, run, validate
-from qthermo.models import SingleDotParams, ValidityWarning, engine_regime
+from qthermo.models import (SingleDotParams, ValidityWarning, engine_regime,
+                            fridge)
 from qthermo.thermo import ReservoirSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -458,6 +459,33 @@ class TestSweepFailures:
         assert batches == [9]
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps_c", 2**70), ("eps_c", 1e300), ("eps_h", 2**70),
+        ("eps_h", 1e300), ("T_c", 1e-320), ("T_r", 1e-320), ("T_h", 1e-320),
+        ("T_c", 3e-4), ("eps_c", 1e-320), ("eps_h", 1e-320)])
+    def test_absorption_at_extreme_gap_over_temperature(self, tmp_path, key,
+                                                        value):
+        # past eps/k_B T ~ 709.8 the qubit occupation n_F underflows to 0
+        # while n_B is still subnormal; the effective rate kappa n_B / n_F
+        # then takes its limit kappa. At eps = 1e-320, n_B overflows: a
+        # config error from both commands
+        config = json.loads(
+            (CONFIGS / "absorption_switchoff.json").read_text())
+        config["params"][key] = value
+        config["sweep"] = {"name": "kappa_c", "start": 0.005, "stop": 0.01,
+                           "steps": 2}
+        config["output"]["path"] = str(tmp_path / "abs.csv")
+        path = write_config(tmp_path / "abs.json", config)
+        validated = main_quietly(["validate", path])
+        ran = main_quietly(["run", path])
+        if value == 1e-320 and key.startswith("eps"):
+            assert validated[0] == 2
+            assert "Bose occupation not finite" in validated[1]
+            assert ran == validated
+        else:
+            assert validated == (0, "")
+            assert ran[0] in (0, 3)
+
     def test_fridge_bookkeeping_failure_is_numerical(self, tmp_path, capsys,
                                                      monkeypatch):
         # a negative bound fails the ledger-against-structure check at the
@@ -525,6 +553,26 @@ class TestOtherExperiments:
         assert on[0] == 1 and on[-1] == 0
         # the switched-off tail stays below the starting temperature
         assert theta[on == 0].max() < theta[0]
+
+    def test_absorption_transient_builds_each_machine_once(self, tmp_path,
+                                                           monkeypatch):
+        # the machine with the interaction on and the one switched off;
+        # the transient needs no steady state
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            for module in (fridge, cli, lindblad):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        counted("fridge_generator", fridge.fridge_generator)
+        counted("steady_state", lindblad.steady_state)
+        run(str(CONFIGS / "absorption_switchoff.json"),
+            out=str(tmp_path / "abs.csv"))
+        assert calls == {"fridge_generator": 2}
 
     def test_absorption_horizon_before_minimum(self, tmp_path, capsys):
         # the first temperature minimum of these params lies at t ~ 32.85;

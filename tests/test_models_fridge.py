@@ -8,8 +8,9 @@ from qthermo.lindblad import (all_currents, local_detailed_balance_check,
                               steady_state)
 from qthermo.models import (FridgeParams, fridge_coherent_transient,
                             fridge_generator, fridge_observables,
-                            fridge_perturbative_I, fridge_switchoff_protocol)
-from qthermo.models.fridge import (cooling_window_boundary,
+                            fridge_perturbative_I, fridge_switchoff_protocol,
+                            fridge_switchoff_transient)
+from qthermo.models.fridge import (_thetas, cooling_window_boundary,
                                    exchange_amplitude, occupation_imbalance,
                                    product_gibbs_state)
 from qthermo.qcore import NumericalError
@@ -47,6 +48,22 @@ class TestConstruction:
                 "c": ReservoirSpec(0.4, 0.0, "fermionic", 0.02),
                 "h": ReservoirSpec(2.0, 0.0, "bosonic", 0.03),
                 "r": ReservoirSpec(1.0, 0.0, "bosonic", 0.025)})
+
+    def test_effective_rate_where_n_f_underflows(self):
+        # eps_c / k_B T_c = 1000: n_F underflows to 0 (n_B too), and
+        # kappa n_B / n_F takes its limit kappa
+        p = fridge(eps_c=0.3, tc=3e-4)
+        assert p.qubit_occupation("c") == 0.0
+        assert p.effective_rate("c") == 0.02
+        # at eps_c / k_B T_c = 705 the ratio is 1 to double precision
+        q = fridge(eps_c=0.3, tc=0.3 / 705.0)
+        assert q.qubit_occupation("c") > 0.0
+        assert q.effective_rate("c") == pytest.approx(0.02, rel=1e-12)
+
+    @pytest.mark.parametrize("eps_c, eps_h", [(1e-320, 1.4), (0.6, 1e-320)])
+    def test_infinite_bose_occupation_rejected(self, eps_c, eps_h):
+        with pytest.raises(ValueError, match="Bose occupation not finite"):
+            fridge(eps_c=eps_c, eps_h=eps_h)
 
     def test_channels_obey_local_detailed_balance(self):
         p = fridge()
@@ -215,6 +232,37 @@ class TestCoherentTransient:
         assert occupation_imbalance(p) > 0
         t_min, theta_min, theta_ss = fridge_switchoff_protocol(p)
         assert theta_min < theta_ss
+
+    def test_theta_rule(self):
+        # theta where 0 < p < 1/2, inf elsewhere
+        thetas = _thetas([-1e-17, 0.0, 0.25, 0.5, 0.7], 0.6)
+        assert thetas[2] == pytest.approx(0.6 / math.log(3.0))
+        assert np.isinf(np.delete(thetas, 2)).all()
+
+    def test_switchoff_protocol_theta_outside_the_rule_is_inf(self):
+        # a steady state at occupation 1/2 has no effective temperature
+        p = fridge(eps_c=0.3, eps_h=1.0, g=0.05, kc=0.005, kh=0.005, kr=0.005)
+        with mock.patch("qthermo.models.fridge.steady_state",
+                        return_value=np.eye(8) / 8):
+            _, theta_min, theta_ss = fridge_switchoff_protocol(p)
+        assert math.isfinite(theta_min) and theta_ss == math.inf
+
+    def test_switchoff_transient(self):
+        p = fridge(eps_c=0.3, eps_h=1.0, g=0.05, kc=0.005, kh=0.005, kr=0.005)
+        times, occs, thetas, on = fridge_switchoff_transient(p, None, 60)
+        n_on = int(on.sum())
+        assert on[:n_on].all() and not on[n_on:].any()
+        # the on segment is the coherent transient up to t_min, bit for bit
+        t_min = times[n_on - 1]
+        expected = fridge_coherent_transient(p, t_min, n_on)
+        for got, want in zip((times, occs, thetas), expected):
+            assert np.array_equal(got[:n_on], want)
+        # switched off at the minimum, the cold qubit only warms up
+        assert np.argmin(thetas) == n_on - 1
+        assert np.all(np.diff(occs[n_on - 1:]) > 0)
+        assert times[-1] == pytest.approx(3.0 * t_min)
+        with pytest.raises(ValueError, match="must exceed the first"):
+            fridge_switchoff_transient(p, t_min, 60)
 
     def test_no_minimum_raises(self):
         # delta_n < 0 (heating side): occupation rises monotonically at

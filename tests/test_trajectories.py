@@ -225,6 +225,22 @@ class TestCrooksJarzynski:
                            edges)
         assert abs(rep.slope - (-1.0)) <= 3 * rep.slope_stderr
 
+    def test_monte_carlo_crooks_intercept(self):
+        # the gap changes from 1 to 1.6, so beta DeltaF is not 0
+        h1 = 0.8 * (math.cos(0.9) * SZ + math.sin(0.9) * SX)
+        prot = TPMProtocol(((0.0, 0.5 * SZ), (0.0, h1)), 1.0, 0.7)
+        dist = tpm_distribution(prot)
+        fwd = tpm_sample(prot, 31, 400_000)
+        bwd = tpm_sample(backward_protocol(prot), 32, 400_000)
+        values, _ = dist.work_distribution()
+        edges = np.concatenate([values - 0.25, [values[-1] + 0.25]])
+        rep = crooks_check(fwd.work, bwd.work, 1.0, dist.delta_free_energy(),
+                           edges)
+        assert rep.intercept_expected == pytest.approx(-0.1706, abs=1e-4)
+        assert abs(rep.slope - (-1.0)) <= 3 * rep.slope_stderr
+        assert abs(rep.intercept - rep.intercept_expected) <= \
+            3 * rep.intercept_stderr
+
     def test_dissipated_work_nonnegative(self):
         for angle in (0.2, 0.9, 1.4):
             prot = quench_protocol(angle=angle)
@@ -697,20 +713,60 @@ def test_recorded_events_memory_is_bounded():
     assert extra <= 40 * len(ens) + 64 * ens.events[1].size
 
 
+def reference_jump_tables(gen, ledger):
+    """Per state j, the moves out of j in channel order as lists: the
+    cumulative rates, target states and channels; and per channel, its
+    (reservoir index, heat, work) quanta. Built by a plain loop over the
+    states and channels, independently of ``trajectories._jump_tables``.
+
+    A channel moves j to the state i where its operator's column j, in the
+    H_TD eigenbasis, is largest, at rate gamma |<i|L|j>|^2, when that
+    entry exceeds TOL_JUMP_SUPPORT times the operator's largest entry and
+    the rate is positive.
+    """
+    h_td = ledger.h_td
+    if np.count_nonzero(h_td - np.diag(np.diag(h_td))):
+        basis = np.linalg.eigh(h_td)[1]
+    else:
+        basis = np.eye(h_td.shape[0])
+    mags = [np.abs(basis.conj().T @ ch.operator @ basis)
+            for ch in gen.channels]
+    cum, targets, channels = [], [], []
+    for j in range(h_td.shape[0]):
+        total, row = 0.0, ([], [], [])
+        for k, ch in enumerate(gen.channels):
+            i = int(np.argmax(mags[k][:, j]))
+            rate = ch.rate * mags[k][i, j] ** 2
+            support = trajectories.TOL_JUMP_SUPPORT * mags[k].max()
+            if mags[k][i, j] > support and rate > 0:
+                total += rate
+                for column, value in zip(row, (total, i, k)):
+                    column.append(value)
+        for table, column in zip((cum, targets, channels), row):
+            table.append(column)
+    reservoirs = gen.reservoirs()
+    quanta = []
+    for ch in gen.channels:
+        mu = ledger.reservoirs[ch.reservoir].chemical_potential
+        quanta.append((reservoirs.index(ch.reservoir),
+                       float(ch.energy_quantum - mu * ch.particle_quantum),
+                       float(mu * ch.particle_quantum)))
+    return cum, targets, channels, quanta
+
+
 def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
     """Reference sampler: one trajectory at a time, each on a fresh
-    np.random.Philox at counter [0, 0, 0, i], drawing in batches of 64.
+    np.random.Philox at counter [0, 0, 0, i], drawing in batches of 64,
+    on the tables of :func:`reference_jump_tables`.
 
     Returns (initial, final, heat, work, events) with heat and work as
     (reservoir, trajectory) arrays in ``gen.reservoirs()`` order.
     """
-    _, _, reservoirs, tables, quanta = trajectories._jump_tables(gen, ledger)
-    totals, cum, targets, channels = (a.tolist() for a in tables)
-    res_idx, dq, dw = (a.tolist() for a in quanta)
+    cum, targets, channels, quanta = reference_jump_tables(gen, ledger)
+    n_res = len(gen.reservoirs())
     cum_p0 = np.cumsum(p0 / p0.sum()).tolist()
     key = np.array([seed, 0], dtype=np.uint64)
-    out = ([], [], np.zeros((len(reservoirs), n_traj)),
-           np.zeros((len(reservoirs), n_traj)), [])
+    out = ([], [], np.zeros((n_res, n_traj)), np.zeros((n_res, n_traj)), [])
     for i in range(n_traj):
         rng = np.random.Generator(np.random.Philox(
             key=key, counter=np.array([0, 0, 0, i], dtype=np.uint64)))
@@ -718,21 +774,22 @@ def scalar_unravel(gen, ledger, p0, tau, seed, n_traj):
         state = min(bisect_right(cum_p0, draws[0]), len(p0) - 1)
         out[0].append(state)
         t, ev = 0.0, []
-        while totals[state] > 0.0:
+        while cum[state]:
+            total = cum[state][-1]
             if pos + 2 > 64:
                 draws, pos = rng.random(64).tolist(), 0
             u1, u2 = draws[pos], draws[pos + 1]
             pos += 2
-            dt = -math.log(1.0 - u1) / totals[state]
+            dt = -math.log(1.0 - u1) / total
             if t + dt > tau:
                 break
             t += dt
-            n_moves = sum(1 for c in targets[state] if c >= 0)
-            local = min(bisect_right(cum[state], u2 * totals[state]),
-                        n_moves - 1)
+            local = min(bisect_right(cum[state], u2 * total),
+                        len(cum[state]) - 1)
             k = channels[state][local]
-            out[2][res_idx[k], i] += dq[k]
-            out[3][res_idx[k], i] += dw[k]
+            r, dq, dw = quanta[k]
+            out[2][r, i] += dq
+            out[3][r, i] += dw
             state = targets[state][local]
             ev.append((t, k))
         out[1].append(state)
