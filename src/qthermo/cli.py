@@ -23,11 +23,12 @@ all points at once, and the table has one row per point, in sweep order.
 When the batch fails, its points run again one at a time, in sweep order,
 and the first that fails reports its own error, the one a point-by-point
 run would have stopped at. An absorption transient is one call of
-``models.fridge_switchoff_transient``; its ``t_max`` must exceed the first
-temperature minimum t_min, which only ``run`` computes.
+``models.fridge_switchoff_transient``: both commands check that its
+switch-off protocol can scan for the first temperature minimum t_min (g >
+0, and not so small that the scan overflows), while a sweep takes any g;
+its ``t_max`` must exceed t_min, which only ``run`` computes.
 """
 
-import argparse
 import json
 import math
 import os
@@ -39,19 +40,14 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .fcs import cumulants, particle_weights, tur_audit
 from .lindblad import (all_currents, entropy_production_rate, propagate,
                        steady_state)
-from .models import (DoubleDotParams, FridgeParams, SingleDotParams,
+from .models import (DoubleDotParams, SingleDotParams,
                      double_dot_sweep_concurrence, entanglement_heat_threshold,
-                     fridge_sweep_observables, fridge_switchoff_transient,
                      single_dot_generator, stack_sweep)
 from .models.single_dot import engine_efficiency, regime_from_currents
 from .qcore import NumericalError
 from .thermo import ReservoirSpec
-from .trajectories import (TPMProtocol, backward_ensemble, backward_protocol,
-                           ft_estimators, tpm_distribution, tpm_sample,
-                           unravel)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,10 +181,13 @@ def _reservoir(cfg, where):
 
 
 # ---------------------------------------------------------------------------
-# Experiments. Each parses the params of one point: it reads every key its
-# tables use, runs every check and builds the objects they compute from. Its
-# tables map a list of parsed points and the seed to (names, units, columns),
-# one sequence of cells per column.
+# Experiments. Each parses the params of one point, the only point of a run
+# or (``swept``) one point of a sweep: it reads every key its tables use,
+# runs every check and builds the objects they compute from. Its tables map
+# a list of parsed points and the seed to (names, units, columns), one
+# sequence of cells per column. The modules an experiment computes with
+# beyond the single and double dot are imported by its own functions, on
+# first use.
 # ---------------------------------------------------------------------------
 
 def _reservoirs(p, tags, statistics):
@@ -212,7 +211,7 @@ def _steps(p, default):
 _ENGINE_KEYS = {"eps_d", "T_c", "T_h", "mu_c", "mu_h", "kappa_c", "kappa_h"}
 
 
-def _engine_params(p):
+def _engine_params(p, swept):
     return _dot_params(p, _ENGINE_KEYS, "ch")
 
 
@@ -234,7 +233,7 @@ _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
                     "kappa_L", "kappa_R", "mode"}
 
 
-def _double_dot_params(p):
+def _double_dot_params(p, swept):
     # the tables are closed forms of the local mode with both dots coupled
     _check_keys(p, _DOUBLE_DOT_KEYS, "params")
     if _opt(p, "mode", "local", str) != "local":
@@ -259,8 +258,11 @@ _FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
                 "kappa_c", "kappa_r", "kappa_h", "t_max", "steps"}
 
 
-def _fridge_params(p):
-    """(FridgeParams, horizon of the transient or None, its steps)."""
+def _fridge_params(p, swept):
+    """(FridgeParams, horizon of the transient or None, its steps). A
+    transient (no sweep) needs a g its switch-off protocol can scan; a
+    sweep point takes any g."""
+    from .models.fridge import FridgeParams, switchoff_scan
     _check_keys(p, _FRIDGE_KEYS, "params")
     eps_r = _opt(p, "eps_r", None)
     params = FridgeParams(
@@ -271,10 +273,13 @@ def _fridge_params(p):
     t_max = float(_opt(p, "t_max", 0.0))
     if t_max < 0:
         raise ConfigError("params.t_max must be >= 0")
+    if not swept:
+        switchoff_scan(params)
     return params, t_max or None, _steps(p, 400)
 
 
 def _fridge_table(points, seed):
+    from .models.fridge import fridge_sweep_observables
     return (["I", "J_c", "J_h", "J_r", "theta", "cooling"],
             ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"],
             list(zip(*fridge_sweep_observables(
@@ -282,6 +287,7 @@ def _fridge_table(points, seed):
 
 
 def _fridge_transient_table(points, seed):
+    from .models.fridge import fridge_switchoff_transient
     [(params, t_max, steps)] = points
     return (["t", "occupation", "theta", "refrigerator_on"],
             ["1/kref", "1", "kref", "bool"],
@@ -291,7 +297,7 @@ def _fridge_transient_table(points, seed):
 _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}
 
 
-def _single_dot_params(p):
+def _single_dot_params(p, swept):
     """(SingleDotParams, initial occupation, end time, steps)."""
     _check_keys(p, _SINGLE_DOT_KEYS, "params")
     res_cfg = _need(p, "reservoirs", "params", dict)
@@ -329,11 +335,12 @@ def _single_dot_table(points, seed):
 _FCS_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R"}
 
 
-def _fcs_params(p):
+def _fcs_params(p, swept):
     return _dot_params(p, _FCS_KEYS, "LR")
 
 
 def _fcs_table(params, seed):
+    from .fcs import cumulants, particle_weights, tur_audit
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
     c1, c2, c3, c4 = cumulants(gen, particle_weights(gen, "R"), max_order=4)
     sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
@@ -351,8 +358,9 @@ def _fcs_table(params, seed):
 _TPM_KEYS = {"eps0", "angle", "beta", "tau", "n_samples"}
 
 
-def _tpm_params(p):
+def _tpm_params(p, swept):
     """(TPMProtocol of the sudden quench, number of samples)."""
+    from .trajectories import TPMProtocol
     _check_keys(p, _TPM_KEYS, "params")
     eps0 = float(_need(p, "eps0", "params"))
     angle = float(_need(p, "angle", "params"))
@@ -367,6 +375,8 @@ def _tpm_params(p):
 
 
 def _tpm_table(points, seed):
+    from .trajectories import (backward_protocol, tpm_distribution,
+                               tpm_sample)
     [(protocol, n_samples)] = points
     fwd = tpm_distribution(protocol)
     bwd = tpm_distribution(backward_protocol(protocol))
@@ -385,7 +395,7 @@ _TRAJ_KEYS = {"eps_d", "T_L", "T_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
               "tau", "n_traj"}
 
 
-def _trajectory_params(p):
+def _trajectory_params(p, swept):
     """(SingleDotParams, duration, number of trajectories)."""
     params = _dot_params(p, _TRAJ_KEYS, "LR")
     tau = float(_need(p, "tau", "params"))
@@ -404,6 +414,7 @@ def _trajectory_params(p):
 
 
 def _trajectory_table(points, seed):
+    from .trajectories import backward_ensemble, ft_estimators, unravel
     [(params, tau, n_traj)] = points
     gen, ledger = single_dot_generator(params)
     rho_ss = steady_state(gen)
@@ -455,9 +466,10 @@ def _table(cfg):
     parse, table, sweep_table = EXPERIMENTS[cfg["experiment"]]
     points, sweep, seed = _points(cfg), cfg["sweep"], cfg["seed"]
     if sweep is None:
-        return table([parse(points[0])], seed)
+        return table([parse(points[0], False)], seed)
     names, units, columns = _first_failure(
-        lambda batch: sweep_table([parse(p) for p in batch], seed), points)
+        lambda batch: sweep_table([parse(p, True) for p in batch], seed),
+        points)
     name = sweep["name"]
     return ([name, *names], ["param", *units],
             [[point[name] for point in points], *columns])
@@ -576,7 +588,7 @@ def validate(config_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for point in _points(cfg):
-            parse(point)
+            parse(point, cfg["sweep"] is not None)
     messages = list(dict.fromkeys(str(w.message) for w in caught))
     for msg in messages:
         print(f"warning: {msg}")
@@ -584,6 +596,8 @@ def validate(config_path):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qthermo",
         description="Quantum-thermodynamics batch experiment runner")

@@ -265,15 +265,29 @@ def _golden_section_min(f, lo, hi, tol):
     return x, f(x)
 
 
+def switchoff_scan(params):
+    """(horizon, step) of the coarse scan for the first temperature minimum:
+    T_MIN_HORIZON_PERIODS exchange periods pi/g at step 0.01/g. A
+    ``ValueError`` names g unless it is > 0 and both are finite."""
+    g = params.g
+    if not g > 0.0:
+        raise ValueError(f"params.g = {g} must be > 0 for the "
+                         "switch-off protocol")
+    horizon, step = T_MIN_HORIZON_PERIODS * math.pi / g, 0.01 / g
+    if not (math.isfinite(horizon) and math.isfinite(step)):
+        raise ValueError(f"params.g = {g} is too small for the switch-off "
+                         f"protocol: its scan of {T_MIN_HORIZON_PERIODS:g} "
+                         "periods pi/g at step 0.01/g overflows")
+    return horizon, step
+
+
 def _first_minimum(params, gen, rho0):
     """(t_min, occupation) at the first minimum of the cold-qubit occupation
-    from ``rho0``: coarse scan at step 0.01/g, golden-section refinement to
-    T_MIN_WIDTH/g. ``NumericalError`` when no interior minimum exists
-    within T_MIN_HORIZON_PERIODS periods pi/g (e.g. delta_n <= 0)."""
-    if params.g <= 0:
-        raise ValueError("protocol requires g > 0")
-    horizon = T_MIN_HORIZON_PERIODS * math.pi / params.g
-    times = np.linspace(0.0, horizon, int(horizon / (0.01 / params.g)) + 1)
+    from ``rho0``: coarse scan of :func:`switchoff_scan`, golden-section
+    refinement to T_MIN_WIDTH/g. ``NumericalError`` when no interior
+    minimum exists within the scan (e.g. delta_n <= 0)."""
+    horizon, step = switchoff_scan(params)
+    times = np.linspace(0.0, horizon, int(horizon / step) + 1)
     occs = _occupations(gen, rho0, times)
     for j in range(1, len(occs) - 1):
         if occs[j] <= occs[j - 1] and occs[j] <= occs[j + 1]:

@@ -593,6 +593,22 @@ class TestOtherExperiments:
         assert not (tmp_path / "abs.csv").exists()
         assert main(["validate", path]) == 0
 
+    def test_absorption_sweep_takes_any_g(self, tmp_path, capsys):
+        # a steady-state sweep runs no switch-off protocol, so g <= 0 and
+        # g = 1e-320 are points like any other
+        path = write_config(tmp_path / "abs.json", {
+            "experiment": "absorption",
+            "params": {"eps_c": 0.3, "eps_h": 1.0, "g": 0.05, "T_c": 0.4,
+                       "T_r": 1.0, "T_h": 2.0, "kappa_c": 0.02,
+                       "kappa_h": 0.03, "kappa_r": 0.025},
+            "sweep": {"name": "g", "start": -1.0, "stop": 1e-320,
+                      "steps": 3},
+            "output": {"path": str(tmp_path / "abs.csv")}})
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0, capsys.readouterr().err
+        rows = read_body(tmp_path / "abs.csv")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-1.0, -0.5, 1e-320]
+
     def test_absorption_steady_sweep(self, tmp_path):
         path = write_config(tmp_path / "abs2.json", {
             "experiment": "absorption",
@@ -879,6 +895,18 @@ class TestValidate:
           "params": {**TRAJECTORIES, "kappa_L": 2**70}},
          "expected jumps params.n_traj * params.tau * (params.kappa_L + "
          "params.kappa_R)"),
+        # a transient's switch-off protocol scans 3 periods pi/g at step
+        # 0.01/g, which needs g > 0 and overflows at g = 1e-320
+        ({"experiment": "absorption", "params": {**FRIDGE, "g": 0}},
+         "config error: params.g = 0.0 must be > 0 for the "
+         "switch-off protocol"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "g": -0.5}},
+         "config error: params.g = -0.5 must be > 0"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "g": -1}},
+         "config error: params.g = -1.0 must be > 0"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "g": 1e-320}},
+         "config error: params.g = 1e-320 is too small for the switch-off "
+         "protocol"),
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
                                       config, message):
@@ -934,9 +962,9 @@ class TestValidate:
         """Change one key of a committed config: both commands exit 0, 2
         or 3 with no other exception; a config error from ``validate`` is
         ``run``'s too, with the same message; a config ``validate``
-        accepts runs or fails numerically. Absorption configs are only
-        validated: a transient whose t_max falls short of the first
-        minimum t_min fails in ``run`` alone (see ``cli``)."""
+        accepts runs or fails numerically. (The committed absorption
+        transient sets no t_max, the one key whose error only ``run`` can
+        find: t_max must exceed the first minimum t_min.)"""
         name, section, key = target
         cfg = json.loads((CONFIGS / f"{name}.json").read_text())
         for part in (cfg["params"], cfg.get("sweep", {})):
@@ -952,8 +980,6 @@ class TestValidate:
             path = write_config(Path(tmp) / "config.json", cfg)
             validated, message = main_quietly(["validate", path])
             assert validated in (0, 2, 3)
-            if cfg["experiment"] == "absorption":
-                return
             ran, run_message = main_quietly(["run", path])
         assert ran in (0, 2, 3)
         if validated == 2:
@@ -976,50 +1002,108 @@ class TestValidate:
             assert line.startswith(f"warning: reservoir {tag!r} coupling: ")
 
 
-# Which scipy modules a fresh interpreter holds after each step; the
-# suite's own process has imported scipy during collection.
-_SCIPY_PROBE = """
+# Which scipy modules, qthermo modules and argparse a fresh interpreter has
+# loaded; the suite's own process has imported them all during collection.
+# A qthermo module counts once it has run: the package enters fcs and
+# trajectories, and qthermo.models its machines, in sys.modules as
+# LazyLoader stubs, whose type is not ModuleType until first use.
+_PROBE_HEAD = """
 import json, sys, warnings
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
+from types import ModuleType
 
+def loaded():
+    return sorted(k for k, m in sys.modules.items()
+                  if k.split(".")[0] == "scipy" or type(m) is ModuleType
+                  and (k.split(".")[0] == "qthermo" or k == "argparse"))
+"""
+_LOAD_PROBE = _PROBE_HEAD + """
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
-loaded = {}
-
-def note(step):
-    loaded[step] = sorted(k for k in sys.modules
-                          if k.split(".")[0] == "scipy")
-
+steps = {}
 import qthermo
-note("import qthermo")
+steps["import qthermo"] = loaded()
 import qthermo.cli as cli
-note("import qthermo.cli")
+steps["import qthermo.cli"] = loaded()
 warnings.simplefilter("ignore")
+for name in sys.argv[3:]:
+    cli.run(str(configs / f"{name}.json"), out=str(out / f"{name}.csv"))
+    steps[f"run {name}"] = loaded()
 with redirect_stdout(StringIO()):
     for path in sorted(configs.glob("*.json")):
         cli.validate(str(path))
-note("validate")
-for name in sys.argv[3:]:
-    cli.run(str(configs / f"{name}.json"), out=str(out / f"{name}.csv"))
-    note(f"run {name}")
-print(json.dumps(loaded))
+steps["validate"] = loaded()
+print(json.dumps(steps))
 """
+# validates the configs named on the command line through ``main``
+_VALIDATE_PROBE = _PROBE_HEAD + """
+import qthermo.cli as cli
+with redirect_stdout(StringIO()):
+    codes = [cli.main(["validate", path]) for path in sys.argv[1:]]
+print(json.dumps([codes, loaded()]))
+"""
+_PACKAGE = ["qthermo", "qthermo.lindblad", "qthermo.qcore", "qthermo.thermo"]
+# what importing the CLI loads: the package, and the single and double dot,
+# whose parse steps a sweep calls once per point
+_CLI = sorted([*_PACKAGE, "qthermo.cli", "qthermo.models",
+               "qthermo.models.common", "qthermo.models.single_dot",
+               "qthermo.models.double_dot"])
+# the modules each experiment loads beyond those, to validate a config
+_VALIDATE_LOADS = {"absorption": ["qthermo.models.fridge"],
+                   "tpm": ["qthermo.trajectories"]}
+
+
+def _probe(script, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+def _outputs(procs):
+    """What each probe printed, read as JSON once all of them have exited."""
+    streams = [proc.communicate(timeout=60) for proc in procs]
+    for proc, (_, err) in zip(procs, streams):
+        assert proc.returncode == 0, err
+    return [json.loads(out) for out, _ in streams]
 
 
 def test_scipy_loads_on_first_use(tmp_path):
-    """Importing qthermo, validating every config and running the five
-    configs that need no scipy function leave scipy unloaded."""
-    without = ["heat_engine_levels", "heat_engine_lasso",
-               "double_dot_entanglement", "tpm_quench", "fcs_biased_dot"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(CONFIGS), str(tmp_path),
-         *without],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    for step in ["import qthermo", "import qthermo.cli", "validate",
-                 *(f"run {name}" for name in without)]:
-        assert loaded[step] == [], f"{step} loaded {loaded[step][:5]} ..."
+    """Importing qthermo loads neither scipy nor fcs, models or
+    trajectories, and importing the CLI neither scipy, fcs, trajectories,
+    the fridge nor argparse. Running the five configs that need no scipy
+    function and then validating every config leave scipy unloaded, and
+    each config loads only its own experiment's modules."""
+    runs = {"heat_engine_levels": [], "heat_engine_lasso": [],
+            "double_dot_entanglement": [],
+            "tpm_quench": ["qthermo.trajectories"],
+            "fcs_biased_dot": ["qthermo.fcs"]}
+    [steps] = _outputs([_probe(_LOAD_PROBE, CONFIGS, tmp_path, *runs)])
+    assert steps.pop("import qthermo") == _PACKAGE
+    expected = _CLI
+    assert steps.pop("import qthermo.cli") == expected
+    for name, loads in runs.items():
+        expected = sorted([*expected, *loads])
+        assert steps.pop(f"run {name}") == expected, name
+    assert steps.pop("validate") == sorted(
+        [*expected, "qthermo.models.fridge"])
+    assert steps == {}
+
+
+def test_validate_loads_only_its_experiment():
+    """A fresh ``qthermo validate`` of each committed config loads the CLI
+    and argparse, plus only what its experiment's parse step needs."""
+    by_experiment = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        experiment = json.loads(path.read_text())["experiment"]
+        by_experiment.setdefault(experiment, []).append(path)
+    # one process per experiment, all at once
+    outputs = _outputs([_probe(_VALIDATE_PROBE, *paths)
+                        for paths in by_experiment.values()])
+    for experiment, (codes, loaded) in zip(by_experiment, outputs):
+        assert codes == [0] * len(by_experiment[experiment])
+        assert loaded == sorted([*_CLI, "argparse",
+                                 *_VALIDATE_LOADS.get(experiment, [])]), \
+            experiment

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestCoherentTransient:
         assert occupation_imbalance(p) > 0
         t_min, theta_min, theta_ss = fridge_switchoff_protocol(p)
         assert theta_min < theta_ss
+
+    @pytest.mark.parametrize("g, message", [
+        (0.0, "params.g = 0.0 must be > 0"),
+        (-0.5, "params.g = -0.5 must be > 0"),
+        (1e-320, "params.g = 1e-320 is too small for the switch-off protocol"),
+    ])
+    def test_protocol_names_a_g_it_cannot_scan(self, g, message):
+        # the coarse scan runs 3 periods pi/g at step 0.01/g; at g = 1e-320
+        # both overflow, and their ratio used to be int(nan)
+        p = fridge(eps_c=0.3, eps_h=1.0, g=g)
+        for protocol in (fridge_switchoff_protocol,
+                         lambda q: fridge_switchoff_transient(q, None, 10)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                protocol(p)
 
     def test_theta_rule(self):
         # theta where 0 < p < 1/2, inf elsewhere

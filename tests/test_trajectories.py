@@ -686,6 +686,9 @@ def traced_unravel(record_events):
     beyond its outputs other than the event columns."""
     gen, ledger = single_dot_generator(biased_dot_params())
     p0 = np.real(np.diag(steady_state(gen)))
+    # a tiny run first, so that the modules unravel imports on first use
+    # are not counted as its working memory
+    unravel(gen, ledger, p0, 2.0, 42, 2, record_events=record_events)
     tracemalloc.start()
     try:
         ens = unravel(gen, ledger, p0, 2.0, 42, 100_000,
