@@ -281,12 +281,11 @@ def tpm_sample(protocol, seed, n_samples):
     n_idx = rng.choice(dim, size=n_samples, p=dist.p_initial)
     cum = np.cumsum(dist.transition, axis=0)  # cum[m, n]
     u = rng.random(n_samples)
-    m_idx = np.empty(n_samples, dtype=np.int64)
-    for n_val in range(dim):
-        mask = n_idx == n_val
-        if np.any(mask):
-            m_idx[mask] = np.searchsorted(cum[:, n_val], u[mask], side="right")
-    m_idx = np.minimum(m_idx, dim - 1)
+    # m counts column n's entries <= u: searchsorted(side="right") on it
+    m_idx = np.zeros(n_samples, dtype=np.int64)
+    for row in cum:
+        m_idx += row.take(n_idx) <= u
+    np.minimum(m_idx, dim - 1, out=m_idx)
     work = dist.energies_final[m_idx] - dist.energies_initial[n_idx]
     return TPMSamples(n_idx.astype(np.int64), m_idx, work)
 
@@ -504,13 +503,21 @@ _CHUNK = 16384
 
 def _mulhi(a, b):
     """High 64 bits of the 128-bit product of the constant ``a`` and the
-    uint64 array or scalar ``b``, from 32-bit halves."""
+    uint64 array or scalar ``b``, from 32-bit halves, summed in place in
+    the fresh halves (on numpy scalars ``x *= y`` just rebinds)."""
     a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & 0xFFFFFFFF)
-    b_hi, b_lo = b >> 32, b & _LO32
-    lo_lo = a_lo * b_lo
-    hi_lo = a_hi * b_lo
-    cross = (lo_lo >> 32) + (hi_lo & _LO32) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> 32) + (cross >> 32)
+    hi, cross = b >> 32, b & _LO32
+    hi_lo = a_hi * cross
+    cross *= a_lo
+    cross >>= 32
+    cross += hi_lo & _LO32
+    cross += a_lo * hi
+    cross >>= 32
+    hi *= a_hi
+    hi_lo >>= 32
+    hi += hi_lo
+    hi += cross
+    return hi
 
 
 def _philox4x64(counter, key):
@@ -530,10 +537,13 @@ def _philox4x64(counter, key):
             if r:
                 k0 = (k0 + _PHILOX_W[0]) & _MASK64
                 k1 = (k1 + _PHILOX_W[1]) & _MASK64
-            c0, c1, c2, c3 = (_mulhi(_PHILOX_M[1], c2) ^ c1 ^ np.uint64(k0),
-                              c2 * m1,
-                              _mulhi(_PHILOX_M[0], c0) ^ c3 ^ np.uint64(k1),
-                              c0 * m0)
+            # the high products are fresh, so the xors can go in place
+            hi0, hi2 = _mulhi(_PHILOX_M[1], c2), _mulhi(_PHILOX_M[0], c0)
+            hi0 ^= c1
+            hi0 ^= np.uint64(k0)
+            hi2 ^= c3
+            hi2 ^= np.uint64(k1)
+            c0, c1, c2, c3 = hi0, c2 * m1, hi2, c0 * m0
     return c0, c1, c2, c3
 
 
@@ -650,6 +660,7 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
     totals, cum, targets, channels = tables
     res_idx, dq, dw = quanta
     last_move = np.count_nonzero(targets >= 0, axis=1) - 1
+    absorbing = (totals <= 0.0).any()
     # flat views of the C-contiguous (reservoir, trajectory) accumulators;
     # a move adds to one distinct cell per live trajectory
     heat_cells, work_cells = heat.reshape(-1), work.reshape(-1)
@@ -671,8 +682,7 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
             initial[traj] = state
             t = np.zeros(traj.size)
         elif role == "wait":
-            dt = -_libm_log(1.0 - u) / totals.take(state)
-            t = t + dt
+            t = t - _libm_log(1.0 - u) / totals.take(state)
         else:
             x = u * totals.take(state)
             local = sum(col.take(state) <= x for col in cum.T)
@@ -686,6 +696,8 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
             if jumps is not None:
                 jumps.append((traj, t, k))
         # a jump after tau ends a trajectory; so does a state with no way out
+        if role != "wait" and not absorbing:
+            continue
         done = t > tau if role == "wait" else totals.take(state) <= 0.0
         if done.any():
             final[traj[done]] = state[done]

@@ -3,13 +3,16 @@
 Every generator here obeys local detailed balance with each of its
 reservoirs, so the second law, the steady-state first law and the
 relaxation to the unique steady state must hold for any draw. Its steady
-state stays unique under a change of units and at weak coupling.
+state stays unique under a change of units and at weak coupling, and with
+a diagonal Hamiltonian the jump sampler's mean heat is the exact first
+cumulant.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
@@ -21,6 +24,7 @@ from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               steady_state)
 from qthermo.models import SingleDotParams, single_dot_generator
 from qthermo.thermo import ReservoirSpec, fermi_dirac
+from qthermo.trajectories import unravel
 
 
 def ldb_generator(dim, seed):
@@ -162,3 +166,21 @@ def test_single_dot_at_weak_coupling():
     assert abs(steady_state(gen)[1, 1] - (n_l + n_r) / 2) <= 1e-12
     current = cumulants(gen, particle_weights(gen, "R"), 1)[0]
     assert abs(current / (kappa * (n_l - n_r) / 2) - 1) <= 1e-12
+
+
+# draws with two or three reservoirs, each carrying a heat current
+@pytest.mark.parametrize("dim, seed", [(2, 4), (2, 12), (3, 5), (3, 12),
+                                       (4, 1), (4, 8)])
+def test_sampled_mean_heat_is_the_first_cumulant(dim, seed):
+    # with H = H_TD the draw is population-closed; started from its steady
+    # populations, the mean heat into each reservoir grows as c1 tau
+    gen, ledger = ldb_generator(dim, seed)
+    gen = GKLSGenerator(ledger.h_td, gen.channels)
+    tau = 3.0
+    ens = unravel(gen, ledger, np.real(np.diag(steady_state(gen))), tau,
+                  seed, 20_000, record_events=False)
+    for tag in gen.reservoirs():
+        c1 = cumulants(gen, heat_and_work_weights(gen, ledger, tag)[0], 1)[0]
+        heat = ens.heat[tag]
+        stderr = heat.std(ddof=1) / math.sqrt(heat.size)
+        assert abs(heat.mean() - c1 * tau) <= 5 * stderr

@@ -162,6 +162,55 @@ class TestTPMSampling:
         assert chi2 < 33.0  # 3 dof, p ~ 1e-6
 
 
+def reference_tpm_sample(protocol, seed, n_samples):
+    """tpm_sample's draws as a per-column masked searchsorted loop."""
+    dist = tpm_distribution(protocol)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64)))
+    dim = dist.p_initial.size
+    n_idx = rng.choice(dim, size=n_samples, p=dist.p_initial)
+    cum = np.cumsum(dist.transition, axis=0)
+    u = rng.random(n_samples)
+    m_idx = np.empty(n_samples, dtype=np.int64)
+    for n_val in range(dim):
+        mask = n_idx == n_val
+        if np.any(mask):
+            m_idx[mask] = np.searchsorted(cum[:, n_val], u[mask], side="right")
+    m_idx = np.minimum(m_idx, dim - 1)
+    work = dist.energies_final[m_idx] - dist.energies_initial[n_idx]
+    return n_idx.astype(np.int64), m_idx, work
+
+
+@st.composite
+def tpm_quenches(draw):
+    """A sudden quench from H0 to H0 rotated by ``angle`` in the (0, 1)
+    plane, then free evolution. H0 has levels on a coarse grid, so some are
+    degenerate; at angle 0 the transition matrix is diagonal, and the
+    cumulative columns have ties and zero-probability cells."""
+    dim = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    h0 = (basis * rng.integers(-2, 3, dim)) @ basis.T
+    h0 = 0.5 * (h0 + h0.T)
+    angle = draw(st.just(0.0) | st.floats(-math.pi, math.pi))
+    rot = np.eye(dim)
+    rot[:2, :2] = [[math.cos(angle), -math.sin(angle)],
+                   [math.sin(angle), math.cos(angle)]]
+    return TPMProtocol(((0.0, h0), (0.0, rot @ h0 @ rot.T)),
+                       draw(st.floats(0.1, 3.0)), draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(protocol=tpm_quenches(), seed=st.integers(0, 2**64 - 1),
+       n_samples=st.sampled_from([0, 1, 1000]))
+def test_tpm_sample_matches_masked_searchsorted(protocol, seed, n_samples):
+    samples = tpm_sample(protocol, seed, n_samples)
+    for got, expected in zip((samples.initial, samples.final, samples.work),
+                             reference_tpm_sample(protocol, seed, n_samples)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestBackwardProtocol:
     def test_time_symmetric_schedule_is_self_reverse(self):
         prot = TPMProtocol(((0.0, 0.5 * SZ),), 1.0, 2.0)
@@ -938,6 +987,40 @@ class TestPhilox:
         expected = bitgen.random_raw(4)  # the block after the counter
         for w in words:
             assert np.array_equal(w, np.repeat(expected[:, None], 3, axis=1))
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 2])
+    def test_distinct_lanes_match_numpy_philox(self, seed):
+        # every lane its own counter; block >= 1, so block - 1 never wraps
+        rng = np.random.default_rng(seed % 2**32)
+        block = rng.integers(1, 2**64 - 1, 500, np.uint64, endpoint=True)
+        index = rng.integers(0, 2**64 - 1, 500, np.uint64, endpoint=True)
+        zero = np.zeros(500, dtype=np.uint64)
+        counters = [(block, zero, zero, index),
+                    (block, np.uint64(0), np.uint64(0), index)]
+        for counter in counters:
+            before = [np.copy(c) for c in counter]
+            words = np.array(trajectories._philox4x64(counter, (seed, 0)))
+            for c, b in zip(counter, before):  # the inputs are never written
+                assert np.asarray(c).tobytes() == b.tobytes()
+            for lane in range(500):
+                bitgen = np.random.Philox(
+                    key=np.array([seed, 0], dtype=np.uint64),
+                    counter=np.array([block[lane] - np.uint64(1), 0, 0,
+                                      index[lane]], dtype=np.uint64))
+                assert np.array_equal(words[:, lane], bitgen.random_raw(4))
+
+    @pytest.mark.parametrize("a", trajectories._PHILOX_M)
+    def test_mulhi_is_the_high_word(self, a):
+        values = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        b = np.array(values, dtype=np.uint64)
+        before = b.copy()
+        with np.errstate(over="ignore"):
+            high = trajectories._mulhi(a, b)
+            scalars = [trajectories._mulhi(a, np.uint64(v)) for v in values]
+        assert b.tobytes() == before.tobytes()
+        expected = [(a * v) >> 64 for v in values]
+        assert high.tolist() == expected
+        assert [int(s) for s in scalars] == expected
 
 
 class TestSeedsAndSizes:
