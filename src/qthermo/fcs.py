@@ -85,7 +85,7 @@ def counting_liouvillian(gen, phases):
         if phase != 0.0:
             factor = cmath.exp(1j * phase) - 1.0
             tilted = tilted + (rates[..., k, None, None] * factor
-                               * jumps[..., k, :, :])
+                               * jumps[k])
     return tilted
 
 
@@ -208,8 +208,7 @@ def _cumulants(gen, weights, max_order):
     bordered[..., n, :n] = one
 
     stack = gen._stack
-    jumps = [(stack.rates[..., c, None, None], w,
-              gen._jump_superops[..., c, :, :])
+    jumps = [(stack.rates[..., c, None, None], w, gen._jump_superops[c])
              for c, w in enumerate(weights) if w != 0.0]
     pert = [None] + [sum((rate * w ** k * jump for rate, w, jump in jumps),
                          np.zeros_like(bare)) for k in range(1, max_order + 1)]

@@ -14,11 +14,11 @@ taken one channel at a time, in channel order, from the same start as a
 per-channel loop, so every result keeps its bits.
 
 Sweep axis: a generator may carry leading sweep axes ``...``, one point
-per entry, with a ``(..., d, d)`` Hamiltonian, rates and energy quanta of
-shape ``...`` and operators ``(d, d)`` (shared) or ``(..., d, d)``; its
-channel stack then holds ``(..., k)`` rates and ``(k, d, d)`` or
-``(..., k, d, d)`` operators, and its ledger per-point arrays
-(``models.common.stack_sweep`` builds the pair from per-point pairs).
+per entry, with a ``(..., d, d)`` Hamiltonian and rates and energy quanta
+of shape ``...``; a jump operator is one ``(d, d)`` matrix shared by every
+point. Its channel stack then holds ``(..., k)`` rates and ``(k, d, d)``
+operators, and its ledger per-point arrays (``models.common.stack_sweep``
+builds the pair from per-point pairs).
 Everything here but :func:`propagate` and
 :func:`local_detailed_balance_check` acts on every point at once and puts
 the batch shape in front of its results; an ordinary generator is the
@@ -34,9 +34,10 @@ cached on the generator as a read-only array; :func:`build_liouvillian`,
 entries per point, 16 MB at d = 32 and 268 MB at d = 64. Assembly adds
 one channel's d^4 terms at a time, so it holds a fixed number of d^4
 temporaries whatever the channel count. The jump superoperators
-L-bar (x) L that ``fcs`` tilts are one ``(..., k, d^2, d^2)`` array, cached
-the same way on first use (d^4 entries per channel). A generator's arrays
-must therefore not be modified in place once it has been used.
+L-bar (x) L that ``fcs`` tilts are one ``(k, d^2, d^2)`` array, shared by
+every point and cached the same way on first use (d^4 entries per
+channel). A generator's arrays must therefore not be modified in place
+once it has been used.
 :func:`steady_state` and ``fcs.cumulants`` run a long sweep in chunks of
 at most :data:`BATCH_BYTES` of such arrays, each chunk a generator with
 caches of its own.
@@ -64,8 +65,8 @@ ENTROPY_EIG_FLOOR = 1e-30
 
 # Byte budget of one chunk of a sweep in steady_state and fcs.cumulants,
 # counted as k + 8 complex d^2 x d^2 arrays per point (the Liouvillian, the
-# jump superoperators, the solver's copies and factors): about 10^5 points
-# at d = 2, and one point (a chunk's minimum) at d = 32.
+# solver's copies and factors, the counting terms; k is headroom, as the jump
+# superoperators are shared): about 10^5 points at d = 2, one at d = 32.
 BATCH_BYTES = 2 ** 28
 
 # Ladder identities [L, H_TD] = omega L, [L, N_S] = n L, relative to
@@ -94,8 +95,9 @@ class JumpChannel:
     ``energy_quantum`` (omega) and ``particle_quantum`` (n) are the
     energy and particle number removed from the system per jump; against
     a ledger they must satisfy the ladder identities [L, H_TD] = omega L
-    and [L, N_S] = n L. On a sweep axis, rate, omega and the operator may
-    carry the generator's batch shape; reservoir and n are shared.
+    and [L, N_S] = n L. On a sweep axis, rate and omega may carry the
+    generator's batch shape; the ``(d, d)`` operator, reservoir and n are
+    shared by every point.
     """
 
     operator: np.ndarray
@@ -113,8 +115,8 @@ class JumpChannel:
             if not math.isfinite(omega):
                 raise ValueError(f"energy quantum must be finite, got {omega}")
         op = np.asarray(self.operator, dtype=complex)
-        if op.ndim < 2 or op.shape[-1] != op.shape[-2]:
-            raise ValueError("jump operator must be square")
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+            raise ValueError("jump operator must be a square matrix")
         object.__setattr__(self, "operator", op)
 
 
@@ -126,7 +128,7 @@ def _entries(value):
 class ChannelStack(NamedTuple):
     """The channels of a generator along an axis k, in channel order."""
 
-    ops: np.ndarray              # (k, d, d) or (..., k, d, d) jump operators L_k
+    ops: np.ndarray              # (k, d, d) jump operators L_k
     daggers: np.ndarray          # L_k†, shaped as ops
     ld_l: np.ndarray             # L_k† L_k, shaped as ops
     rates: np.ndarray            # (..., k) gamma_k
@@ -139,13 +141,10 @@ class ChannelStack(NamedTuple):
         return dissipate(self.ops, self.daggers, self.ld_l, rho)
 
 
-def _channel_axis(values, dtype, core=()):
-    """Per-channel values stacked on an axis just before the ``core`` axes."""
-    if not values:
-        return np.zeros((0,) + core, dtype=dtype)
+def _channel_axis(values, dtype):
+    """Per-channel values stacked on a last axis."""
     stacked = np.array(np.broadcast_arrays(*values), dtype=dtype)
-    return np.ascontiguousarray(
-        np.moveaxis(stacked, 0, stacked.ndim - 1 - len(core)))
+    return np.ascontiguousarray(np.moveaxis(stacked, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class GKLSGenerator:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", tuple(self.channels))
         for ch in self.channels:
-            if ch.operator.shape[-2:] != h.shape[-2:]:
+            if ch.operator.shape != h.shape[-2:]:
                 raise ValueError("channel dimension does not match Hamiltonian")
 
     @property
@@ -183,10 +182,10 @@ class GKLSGenerator:
 
     def _rows(self, rows):
         """The points in ``rows``, a slice of the first sweep axis."""
-        def cut(value, core=0):
-            return value[rows] if np.ndim(value) > core else value
+        def cut(value):
+            return value[rows] if np.ndim(value) else value
         return GKLSGenerator(self.hamiltonian[rows], tuple(
-            replace(ch, operator=cut(ch.operator, 2), rate=cut(ch.rate),
+            replace(ch, rate=cut(ch.rate),
                     energy_quantum=cut(ch.energy_quantum))
             for ch in self.channels))
 
@@ -197,16 +196,16 @@ class GKLSGenerator:
         Raises ValueError when a channel's sweep axes are neither absent
         nor those of the Hamiltonian.
         """
-        d = self.dim
-        chs = self.channels
-        ops = _channel_axis([ch.operator for ch in chs], complex, (d, d))
+        d, chs = self.dim, self.channels
+        ops = np.array([ch.operator for ch in chs],
+                       dtype=complex).reshape(-1, d, d)
         daggers = dagger(ops)
         stack = ChannelStack(
             ops, daggers, daggers @ ops,
             _channel_axis([ch.rate for ch in chs], float),
             _channel_axis([ch.energy_quantum for ch in chs], float),
             _channel_axis([ch.particle_quantum for ch in chs], int))
-        if not {ops.shape[:-3], stack.rates.shape[:-1],
+        if not {stack.rates.shape[:-1],
                 stack.energy_quanta.shape[:-1]} <= {(), self.batch_shape}:
             raise ValueError("channel shape does not match Hamiltonian")
         for arr in stack:
@@ -225,14 +224,14 @@ class GKLSGenerator:
         dissipative = np.zeros(self.batch_shape + (d2, d2), dtype=complex)
         for k in range(len(self.channels)):
             dissipative += (stack.rates[..., k, None, None]
-                            * dissipator_superop(stack.ops[..., k, :, :]))
+                            * dissipator_superop(stack.ops[k]))
         liou = commutator_superop(self.hamiltonian) + dissipative
         liou.flags.writeable = False
         return liou
 
     @cached_property
     def _jump_superops(self):
-        """Read-only L-bar (x) L of every channel, shape (..., k, d^2, d^2)."""
+        """Read-only L-bar (x) L of every channel, shape (k, d^2, d^2)."""
         ops = self._stack.ops
         jumps = kron(ops.conj(), ops)
         jumps.flags.writeable = False

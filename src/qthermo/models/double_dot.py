@@ -21,18 +21,19 @@ from typing import Mapping
 
 import numpy as np
 
-from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger)
+from ..lindblad import GKLSGenerator, ThermoLedger
+from ..qcore import dagger, kron
 from ..thermo import ReservoirSpec, concurrence, fermi_dirac
-from .common import IDENT2, LOWER, PARITY, warn_margin
+from .common import IDENT2, LOWER, PARITY, thermal_pair, warn_margin
 
 DOUBLE_DOT_MARGIN = 0.5
 
 # Jordan-Wigner fermionic modes; the R mode is the most significant kron
 # factor so the composite index is n_L + 2 n_R, i.e. |00>,|10>,|01>,|11>.
-D_L = np.kron(IDENT2, LOWER)
-D_R = np.kron(LOWER, PARITY)
-N_L = D_L.conj().T @ D_L
-N_R = D_R.conj().T @ D_R
+D_L = kron(IDENT2, LOWER)
+D_R = kron(LOWER, PARITY)
+N_L = dagger(D_L) @ D_L
+N_R = dagger(D_R) @ D_R
 N_TOT = N_L + N_R
 # Delocalized eigenmodes d_± = (d_R ± d_L)/sqrt(2).
 D_PLUS = (D_R + D_L) / math.sqrt(2.0)
@@ -74,8 +75,8 @@ class DoubleDotParams:
 
 def hamiltonian(params):
     """eps (n_L + n_R) + g (d_L† d_R + d_R† d_L)."""
-    hop = D_L.conj().T @ D_R
-    return params.eps * N_TOT + params.g * (hop + hop.conj().T)
+    hop = dagger(D_L) @ D_R
+    return params.eps * N_TOT + params.g * (hop + dagger(hop))
 
 
 def double_dot_generator(params):
@@ -88,34 +89,23 @@ def double_dot_generator(params):
     H_TD = H_S.
     """
     h_s = hamiltonian(params)
-    channels = []
     if params.mode == "local":
         site_ops = {"L": D_L, "R": D_R}
-        for tag, res in params.reservoirs.items():
-            nf = fermi_dirac(params.eps, res)
-            op = site_ops[tag]
-            channels.append(JumpChannel(op, res.coupling * (1.0 - nf), tag,
-                                        energy_quantum=params.eps,
-                                        particle_quantum=1))
-            channels.append(JumpChannel(op.conj().T, res.coupling * nf, tag,
-                                        energy_quantum=-params.eps,
-                                        particle_quantum=-1))
+        channels = [ch for tag, res in params.reservoirs.items()
+                    for ch in thermal_pair(site_ops[tag], res.coupling,
+                                           fermi_dirac(params.eps, res), tag,
+                                           params.eps, 1)]
         ledger = ThermoLedger(params.eps * N_TOT, N_TOT, params.reservoirs)
     else:
         mode_ops = ((D_PLUS, params.eps + params.g),
                     (D_MINUS, params.eps - params.g))
-        for tag, res in params.reservoirs.items():
-            for op, energy in mode_ops:
-                nf = fermi_dirac(energy, res)
-                half = 0.5 * res.coupling
-                channels.append(JumpChannel(op, half * (1.0 - nf), tag,
-                                            energy_quantum=energy,
-                                            particle_quantum=1))
-                channels.append(JumpChannel(op.conj().T, half * nf, tag,
-                                            energy_quantum=-energy,
-                                            particle_quantum=-1))
+        channels = [ch for tag, res in params.reservoirs.items()
+                    for op, energy in mode_ops
+                    for ch in thermal_pair(op, 0.5 * res.coupling,
+                                           fermi_dirac(energy, res), tag,
+                                           energy, 1)]
         ledger = ThermoLedger(h_s, N_TOT, params.reservoirs)
-    return GKLSGenerator(h_s, tuple(channels)), ledger
+    return GKLSGenerator(h_s, channels), ledger
 
 
 def _local_inputs(params):
@@ -198,7 +188,7 @@ def double_dot_state_closed_form(params):
 
     # sign of the coherence term fixed by the correlator equations of
     # motion (and the dense Liouvillian): <d_L†d_R> = -i w/(4g^2 + kL kR)
-    coherence = D_L.conj().T @ D_R - D_R.conj().T @ D_L
+    coherence = dagger(D_L) @ D_R - dagger(D_R) @ D_L
     weight = 2.0 * g * k_l * k_r * (nf_l - nf_r) / (k_l + k_r)
     rho = (k_l * k_r * product_state(nf_l, nf_r)
            + 4.0 * g * g * product_state(nbar, nbar)

@@ -20,12 +20,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
+from ..lindblad import (GKLSGenerator, ThermoLedger, all_currents,
                         build_liouvillian, propagate, steady_state)
 from ..qcore import NumericalError, dagger, expm_dense, kron, vectorize
 from ..thermo import (ReservoirSpec, bose_einstein, effective_temperature,
                       fermi_dirac, gibbs_state)
-from .common import IDENT2, LOWER, stack_sweep
+from .common import IDENT2, LOWER, stack_sweep, thermal_pair
 
 # Lowering operators in the |c h r> product basis (c most significant).
 SIGMA_C = kron(LOWER, kron(IDENT2, IDENT2))
@@ -111,17 +111,12 @@ def fridge_generator(params):
     the bookkeeping), no particle counting (photons, mu = 0).
     """
     h_s, h0 = hamiltonian(params)
-    sigma = {"c": SIGMA_C, "h": SIGMA_H, "r": SIGMA_R}
-    channels = []
-    for tag in ("c", "h", "r"):
-        kappa = params.effective_rate(tag)
-        nf = params.qubit_occupation(tag)
-        eps = params.gap(tag)
-        channels.append(JumpChannel(sigma[tag], kappa * (1.0 - nf), tag,
-                                    energy_quantum=eps, particle_quantum=0))
-        channels.append(JumpChannel(dagger(sigma[tag]), kappa * nf, tag,
-                                    energy_quantum=-eps, particle_quantum=0))
-    gen = GKLSGenerator(h_s, tuple(channels))
+    channels = [ch for tag, sigma in (("c", SIGMA_C), ("h", SIGMA_H),
+                                      ("r", SIGMA_R))
+                for ch in thermal_pair(sigma, params.effective_rate(tag),
+                                       params.qubit_occupation(tag), tag,
+                                       params.gap(tag), 0)]
+    gen = GKLSGenerator(h_s, channels)
     ledger = ThermoLedger(h0, np.zeros((8, 8)), params.reservoirs)
     return gen, ledger
 
@@ -307,10 +302,13 @@ def fridge_switchoff_protocol(params):
 
 
 def fridge_switchoff_transient(params, t_max, steps):
-    """Columns (t, occupation, theta, interaction on) of ``steps`` rows
-    from the product Gibbs state: the interaction is on up to the first
-    temperature minimum t_min, then off (g = 0) up to ``t_max`` (3 t_min
-    when None), which must exceed t_min."""
+    """Columns (t, occupation, theta, interaction on) from the product
+    Gibbs state: the interaction is on up to the first temperature minimum
+    t_min, then off (g = 0) up to the end time ``t_max`` (3 t_min when
+    None), which must exceed t_min. The on segment has n_on = max(2,
+    int(steps t_min / t_max) + 1) rows and shares its last with the off
+    segment: max(steps - 1, n_on + 1) rows, 399 at steps = 400 and 3 at
+    steps 2 to 4."""
     gen_on, _ = fridge_generator(params)
     rho0 = product_gibbs_state(params)
     t_min, _ = _first_minimum(params, gen_on, rho0)

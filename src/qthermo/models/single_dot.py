@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..lindblad import (GKLSGenerator, JumpChannel, ThermoLedger, all_currents,
-                        steady_state)
+from ..lindblad import GKLSGenerator, ThermoLedger, all_currents, steady_state
 from ..thermo import ReservoirSpec, fermi_dirac
-from .common import LOWER, NUMBER, RAISE, warn_margin
+from .common import LOWER, NUMBER, thermal_pair, warn_margin
 
 BORN_MARKOV_MARGIN = 0.1
 
@@ -50,16 +49,11 @@ def single_dot_generator(params):
     bare eps_d d†d.
     """
     h = params.eps_d * NUMBER
-    channels = []
-    for tag, res in params.reservoirs.items():
-        nf = fermi_dirac(params.eps_d, res)
-        channels.append(JumpChannel(LOWER, res.coupling * (1.0 - nf), tag,
-                                    energy_quantum=params.eps_d,
-                                    particle_quantum=1))
-        channels.append(JumpChannel(RAISE, res.coupling * nf, tag,
-                                    energy_quantum=-params.eps_d,
-                                    particle_quantum=-1))
-    gen = GKLSGenerator(h, tuple(channels))
+    channels = [ch for tag, res in params.reservoirs.items()
+                for ch in thermal_pair(LOWER, res.coupling,
+                                       fermi_dirac(params.eps_d, res), tag,
+                                       params.eps_d, 1)]
+    gen = GKLSGenerator(h, channels)
     ledger = ThermoLedger(h, NUMBER, params.reservoirs)
     return gen, ledger
 

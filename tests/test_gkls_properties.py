@@ -3,9 +3,11 @@
 Every generator here obeys local detailed balance with each of its
 reservoirs, so the second law, the steady-state first law and the
 relaxation to the unique steady state must hold for any draw. Its steady
-state stays unique under a change of units and at weak coupling, and with
-a diagonal Hamiltonian the jump sampler's mean heat is the exact first
-cumulant.
+state stays unique under a change of units and at weak coupling, and the
+first cumulant of its entropy-production field is the entropy production
+rate. With a diagonal Hamiltonian the field's generating function has the
+Gallavotti-Cohen symmetry and the jump sampler's mean heat is the exact
+first cumulant.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
-from qthermo.fcs import (counting_liouvillian, cumulants,
+from qthermo.fcs import (counting_liouvillian, cumulants, dominant_eigenvalue,
                          heat_and_work_weights, particle_weights)
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               all_currents, build_liouvillian,
@@ -110,6 +112,40 @@ def test_zero_field_counting_liouvillian_is_bitwise_bare(pair):
         for weights in heat_and_work_weights(gen, ledger, tag):
             assert np.array_equal(counting_liouvillian(gen, 0.0 * weights),
                                   build_liouvillian(gen))
+
+
+def entropy_field(gen, ledger):
+    """w_k = (omega_k - mu_alpha n_k) / T_alpha of each channel k of
+    reservoir alpha: the entropy each jump brings into the reservoirs."""
+    return sum(heat_and_work_weights(gen, ledger, tag)[0]
+               / ledger.reservoirs[tag].temperature
+               for tag in gen.reservoirs())
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=generators)
+def test_entropy_production_is_the_first_cumulant(pair):
+    gen, ledger = pair
+    sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
+    c1 = qcore.KB * cumulants(gen, entropy_field(gen, ledger), 1)[0]
+    assert abs(c1 - sigma_dot) <= 1e-12 * max(1.0, sigma_dot)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=generators)
+def test_gallavotti_cohen_symmetry(pair):
+    # with H = H_TD the draw is population-closed, and local detailed
+    # balance makes the tilted rate matrix at i - chi the transpose of the
+    # one at chi (Lebowitz & Spohn, J. Stat. Phys. 95, 333 (1999))
+    gen, ledger = pair
+    gen = GKLSGenerator(ledger.h_td, gen.channels)
+    weights = entropy_field(gen, ledger)
+    bound = 1e-12 * max(1.0, np.abs(build_liouvillian(gen)).max())
+    for chi in np.linspace(-1.5, 2.5, 9):
+        nu = dominant_eigenvalue(counting_liouvillian(gen, chi * weights))
+        mirror = dominant_eigenvalue(
+            counting_liouvillian(gen, (1j - chi) * weights))
+        assert abs(nu - mirror) <= bound
 
 
 def single_dot(kappa):

@@ -265,6 +265,7 @@ class TestCoherentTransient:
     def test_switchoff_transient(self):
         p = fridge(eps_c=0.3, eps_h=1.0, g=0.05, kc=0.005, kh=0.005, kr=0.005)
         times, occs, thetas, on = fridge_switchoff_transient(p, None, 60)
+        assert times.size == 59
         n_on = int(on.sum())
         assert on[:n_on].all() and not on[n_on:].any()
         # the on segment is the coherent transient up to t_min, bit for bit
@@ -278,6 +279,18 @@ class TestCoherentTransient:
         assert times[-1] == pytest.approx(3.0 * t_min)
         with pytest.raises(ValueError, match="must exceed the first"):
             fridge_switchoff_transient(p, t_min, 60)
+
+    @pytest.mark.parametrize("steps, t_max, rows", [
+        (2, None, 3), (3, None, 3), (4, None, 3), (5, None, 4),
+        (400, None, 399), (10, 20.01, 11)])
+    def test_switchoff_transient_rows(self, steps, t_max, rows):
+        # max(steps - 1, n_on + 1) rows: the on and off segments share the
+        # row at t_min, and each has at least two
+        p = fridge(eps_c=0.3, eps_h=1.0, g=0.05, kc=0.005, kh=0.005, kr=0.005)
+        with mock.patch("qthermo.models.fridge._first_minimum",
+                        return_value=(20.0, None)):
+            columns = fridge_switchoff_transient(p, t_max, steps)
+        assert [c.size for c in columns] == [rows] * 4
 
     def test_no_minimum_raises(self):
         # delta_n < 0 (heating side): occupation rises monotonically at

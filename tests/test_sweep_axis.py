@@ -4,9 +4,10 @@
 into one pair with a leading sweep axis. Every batched result must equal,
 byte for byte, the result of the same function on each point alone: the
 CLI table bodies, which are pinned bit for bit, are now computed as one
-batch per sweep. The draws share one random structure per example and
-vary everything else per point, with operators shared by every point or
-scaled by a per-point phase; they also run in chunks of a few points.
+batch per sweep. The draws share one random structure and one set of
+jump operators, real or complex, per example and vary everything else
+per point; they also run in chunks of a few points. A sweep varies
+numbers, not operators: points whose operators differ do not stack.
 """
 
 import math
@@ -35,22 +36,27 @@ def ldb_sweep(dim, seed, n_points):
     a Hamiltonian coupling inside degenerate blocks, and for each reservoir
     level pairs driven with rates that obey local detailed balance (the
     first reservoir links neighbouring levels, so the steady state is
-    unique). The levels, numbers and level pairs are shared; the energy
-    unit, Hamiltonian, reservoir parameters and, half of the time, the
-    phases of the jump operators change from point to point.
+    unique). The levels, numbers, level pairs and jump operators, which
+    carry random phases half of the time, are shared; the energy unit,
+    Hamiltonian and reservoir parameters change from point to point.
     """
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, 3, dim)
     numbers = rng.integers(0, 3, dim)
     degenerate = levels[:, None] == levels[None, :]
+    phased = rng.random() < 0.5
     pairs = []
     for k in range(int(rng.integers(1, 4))):
         chosen = {(i, j) for i in range(dim) for j in range(i + 1, dim)
                   if rng.random() < 0.5}
         if k == 0:
             chosen |= {(i, i + 1) for i in range(dim - 1)}
-        pairs.append(sorted(chosen))
-    phased = rng.random() < 0.5
+        lowers = []
+        for i, j in sorted(chosen):
+            lower = np.zeros((dim, dim), dtype=complex)
+            lower[i, j] = np.exp(2j * np.pi * rng.random()) if phased else 1
+            lowers.append((i, j, lower))
+        pairs.append(lowers)
     machines = []
     for _ in range(n_points):
         energies = rng.uniform(0.3, 1.0) * levels
@@ -62,12 +68,10 @@ def ldb_sweep(dim, seed, n_points):
             res = ReservoirSpec(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0),
                                 "fermionic", rng.uniform(0.1, 1.0))
             reservoirs[tag] = res
-            for i, j in chosen:
+            for i, j, lower in chosen:
                 omega = float(energies[j] - energies[i])
                 n = int(numbers[j] - numbers[i])
                 x = (omega - res.chemical_potential * n) / res.temperature
-                lower = np.zeros((dim, dim), dtype=complex)
-                lower[i, j] = np.exp(2j * np.pi * rng.random()) if phased else 1
                 channels.append(JumpChannel(
                     lower, res.coupling / (1 + math.exp(-x)), tag, omega, n))
                 channels.append(JumpChannel(
@@ -140,7 +144,7 @@ def engine_points(n):
             for eps in np.linspace(1.5, 2.5, n)]
 
 
-def test_operators_shared_only_when_bitwise_equal():
+def test_operators_must_be_bitwise_shared():
     machines = engine_points(3)
     assert stack_sweep(machines)[0]._stack.ops.shape == (4, 2, 2)
     gen, ledger = machines[1]
@@ -149,16 +153,14 @@ def test_operators_shared_only_when_bitwise_equal():
                                            ch.operator))
     machines[1] = (replace(gen, channels=(signed,) + gen.channels[1:]),
                    ledger)
-    gen, ledger = stack_sweep(machines)
-    assert gen.channels[0].operator.shape == (3, 2, 2)
-    assert gen.channels[1].operator.shape == (2, 2)
-    assert gen._stack.ops.shape == (3, 4, 2, 2)
-    rho = steady_state(gen)
-    for i, (one_gen, one_ledger) in enumerate(machines):
-        one_rho = steady_state(one_gen)
-        assert_bitwise(rho[i], one_rho)
-        assert_bitwise(entropy_production_rate(gen, ledger, rho)[i],
-                       entropy_production_rate(one_gen, one_ledger, one_rho))
+    with pytest.raises(ValueError, match="differ"):
+        stack_sweep(machines)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3), (4,)])
+def test_jump_operator_is_one_square_matrix(shape):
+    with pytest.raises(ValueError, match="square matrix"):
+        JumpChannel(np.ones(shape), 0.1, "c")
 
 
 @pytest.mark.parametrize("n_points", [3, 4, 5])
