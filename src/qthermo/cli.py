@@ -25,8 +25,13 @@ and the first that fails reports its own error, the one a point-by-point
 run would have stopped at. An absorption transient is one call of
 ``models.fridge_switchoff_transient``: both commands check that its
 switch-off protocol can scan for the first temperature minimum t_min (g >
-0, and not so small that the scan overflows), while a sweep takes any g;
-its ``t_max`` must exceed t_min, which only ``run`` computes.
+0, and not so small that the scan overflows); its ``t_max`` must exceed
+t_min, which only ``run`` computes. An absorption sweep takes any g, and
+rejects the transient's ``t_max`` and ``steps`` as unknown keys.
+
+``fcs``, ``trajectories`` and ``models.fridge`` are imported once, at
+module level, as the stubs the package executes on first use (see
+``qthermo``): a command runs only the modules of its own experiment.
 """
 
 import json
@@ -39,12 +44,12 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fcs, trajectories
 from .lindblad import (all_currents, entropy_production_rate, propagate,
                        steady_state)
 from .models import (DoubleDotParams, SingleDotParams,
                      double_dot_sweep_concurrence, entanglement_heat_threshold,
-                     single_dot_generator, stack_sweep)
+                     fridge, single_dot_generator, stack_sweep)
 from .models.single_dot import engine_efficiency, regime_from_currents
 from .qcore import NumericalError
 from .thermo import ReservoirSpec
@@ -185,9 +190,7 @@ def _reservoir(cfg, where):
 # or (``swept``) one point of a sweep: it reads every key its tables use,
 # runs every check and builds the objects they compute from. Its tables map
 # a list of parsed points and the seed to (names, units, columns), one
-# sequence of cells per column. The modules an experiment computes with
-# beyond the single and double dot are imported by its own functions, on
-# first use.
+# sequence of cells per column.
 # ---------------------------------------------------------------------------
 
 def _reservoirs(p, tags, statistics):
@@ -254,44 +257,42 @@ def _double_dot_table(params, seed):
             [double_dot_sweep_concurrence(params), *zip(*thresholds)])
 
 
-_FRIDGE_KEYS = {"eps_c", "eps_h", "eps_r", "g", "T_c", "T_r", "T_h",
-                "kappa_c", "kappa_r", "kappa_h", "t_max", "steps"}
+_FRIDGE_KEYS = {"eps_c", "eps_h", "g", "T_c", "T_r", "T_h",
+                "kappa_c", "kappa_r", "kappa_h"}
+# read only by the transient, so a sweep rejects them as unknown
+_TRANSIENT_KEYS = {"t_max", "steps"}
 
 
 def _fridge_params(p, swept):
-    """(FridgeParams, horizon of the transient or None, its steps). A
-    transient (no sweep) needs a g its switch-off protocol can scan; a
-    sweep point takes any g."""
-    from .models.fridge import FridgeParams, switchoff_scan
-    _check_keys(p, _FRIDGE_KEYS, "params")
-    eps_r = _opt(p, "eps_r", None)
-    params = FridgeParams(
+    """A sweep point's FridgeParams, with any g; or the transient's
+    (FridgeParams, horizon or None, steps), with a g its switch-off
+    protocol can scan."""
+    _check_keys(p, _FRIDGE_KEYS if swept else _FRIDGE_KEYS | _TRANSIENT_KEYS,
+                "params")
+    params = fridge.FridgeParams(
         float(_need(p, "eps_c", "params")),
         float(_need(p, "eps_h", "params")),
-        float(_need(p, "g", "params")), _reservoirs(p, "chr", "bosonic"),
-        None if eps_r is None else float(eps_r))
+        float(_need(p, "g", "params")), _reservoirs(p, "chr", "bosonic"))
+    if swept:
+        return params
     t_max = float(_opt(p, "t_max", 0.0))
     if t_max < 0:
         raise ConfigError("params.t_max must be >= 0")
-    if not swept:
-        switchoff_scan(params)
+    fridge.switchoff_scan(params)
     return params, t_max or None, _steps(p, 400)
 
 
-def _fridge_table(points, seed):
-    from .models.fridge import fridge_sweep_observables
+def _fridge_table(params, seed):
     return (["I", "J_c", "J_h", "J_r", "theta", "cooling"],
             ["kref", "kref^2", "kref^2", "kref^2", "kref", "bool"],
-            list(zip(*fridge_sweep_observables(
-                [params for params, _, _ in points]))))
+            list(zip(*fridge.fridge_sweep_observables(params))))
 
 
 def _fridge_transient_table(points, seed):
-    from .models.fridge import fridge_switchoff_transient
     [(params, t_max, steps)] = points
     return (["t", "occupation", "theta", "refrigerator_on"],
             ["1/kref", "1", "kref", "bool"],
-            fridge_switchoff_transient(params, t_max, steps))
+            fridge.fridge_switchoff_transient(params, t_max, steps))
 
 
 _SINGLE_DOT_KEYS = {"eps_d", "p1_initial", "t_max", "steps", "reservoirs"}
@@ -340,11 +341,11 @@ def _fcs_params(p, swept):
 
 
 def _fcs_table(params, seed):
-    from .fcs import cumulants, particle_weights, tur_audit
     gen, ledger = stack_sweep([single_dot_generator(p) for p in params])
-    c1, c2, c3, c4 = cumulants(gen, particle_weights(gen, "R"), max_order=4)
+    c1, c2, c3, c4 = fcs.cumulants(gen, fcs.particle_weights(gen, "R"),
+                                   max_order=4)
     sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
-    audits = [tur_audit(*point) for point in
+    audits = [fcs.tur_audit(*point) for point in
               zip(c1.tolist(), c2.tolist(), sigma_dot.tolist())]
     return (["c1", "c2", "c3", "c4", "fano", "sigma_dot", "tur_ratio",
              "tur_bound", "tur_satisfied"],
@@ -360,7 +361,6 @@ _TPM_KEYS = {"eps0", "angle", "beta", "tau", "n_samples"}
 
 def _tpm_params(p, swept):
     """(TPMProtocol of the sudden quench, number of samples)."""
-    from .trajectories import TPMProtocol
     _check_keys(p, _TPM_KEYS, "params")
     eps0 = float(_need(p, "eps0", "params"))
     angle = float(_need(p, "angle", "params"))
@@ -371,17 +371,17 @@ def _tpm_params(p, swept):
     h0 = 0.5 * eps0 * np.array([[1.0, 0.0], [0.0, -1.0]])
     h1 = 0.5 * eps0 * (math.cos(angle) * np.array([[1.0, 0.0], [0.0, -1.0]])
                        + math.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return TPMProtocol(((0.0, h0), (0.0, h1)), beta, tau), n_samples
+    return (trajectories.TPMProtocol(((0.0, h0), (0.0, h1)), beta, tau),
+            n_samples)
 
 
 def _tpm_table(points, seed):
-    from .trajectories import (backward_protocol, tpm_distribution,
-                               tpm_sample)
     [(protocol, n_samples)] = points
-    fwd = tpm_distribution(protocol)
-    bwd = tpm_distribution(backward_protocol(protocol))
+    fwd = trajectories.tpm_distribution(protocol)
+    bwd = trajectories.tpm_distribution(
+        trajectories.backward_protocol(protocol))
     dim = fwd.p_initial.size
-    samples = tpm_sample(protocol, seed, n_samples)
+    samples = trajectories.tpm_sample(protocol, seed, n_samples)
     # one row per (n, m), n major
     return (["n", "m", "work", "p_forward", "p_backward", "count_sampled"],
             ["-", "-", "kref", "1", "1", "-"],
@@ -414,14 +414,14 @@ def _trajectory_params(p, swept):
 
 
 def _trajectory_table(points, seed):
-    from .trajectories import backward_ensemble, ft_estimators, unravel
     [(params, tau, n_traj)] = points
     gen, ledger = single_dot_generator(params)
     rho_ss = steady_state(gen)
     p0 = np.real(np.diag(rho_ss))
-    fwd = unravel(gen, ledger, p0, tau, seed, n_traj, record_events=False)
-    bwd = backward_ensemble(gen, ledger, fwd, seed + 1)
-    report = ft_estimators(fwd, bwd)
+    fwd = trajectories.unravel(gen, ledger, p0, tau, seed, n_traj,
+                               record_events=False)
+    bwd = trajectories.backward_ensemble(gen, ledger, fwd, seed + 1)
+    report = trajectories.ft_estimators(fwd, bwd)
     means = {"mean_sigma": fwd.entropy_production,
              **{f"mean_Q_{tag}": fwd.heat[tag] for tag in sorted(fwd.heat)}}
     quantity = ["ift_estimate", "negative_sigma_fraction", *means]

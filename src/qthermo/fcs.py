@@ -137,27 +137,6 @@ def spectral_gap(matrix):
     return float(-real[1])
 
 
-def dominant_eigenvalue_path(gen, weights, chis):
-    """nu(chi) of the field with per-channel ``weights`` along a grid,
-    tracked by continuity from chi = chis[0].
-
-    Uses nearest-eigenvalue continuation so branch crossings do not make
-    the curve jump between Liouvillian bands.
-    """
-    weights = _per_channel(gen, weights, "weights", float)
-    out = np.empty(len(chis), dtype=complex)
-    prev = None
-    for j, chi in enumerate(chis):
-        values = np.linalg.eigvals(counting_liouvillian(gen, chi * weights))
-        if prev is None:
-            pick = values[np.argmax(values.real)]
-        else:
-            pick = values[np.argmin(np.abs(values - prev))]
-        out[j] = pick
-        prev = pick
-    return out
-
-
 def cumulants(gen, weights, max_order=4):
     """Scaled cumulants c_m = (-i d/dchi)^m nu(0), m = 1..max_order, of
     the field with per-channel ``weights``, as a real array of shape

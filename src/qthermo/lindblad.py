@@ -452,25 +452,10 @@ def _traces(a, b):
     return np.trace(a @ b, axis1=-2, axis2=-1).real
 
 
-def _checked_reservoir_currents(gen, ledger, rho, reservoir):
-    validate_ledger(gen, ledger)
-    if reservoir not in gen.reservoirs():
-        raise LedgerError(f"generator has no channels tagged {reservoir!r}")
-    return _reservoir_currents(gen, ledger, rho)[reservoir]
-
-
-def heat_current(gen, ledger, rho, reservoir):
-    """Heat current into the reservoir: -Tr{(H_TD - mu N_S) L_alpha rho}."""
-    return _checked_reservoir_currents(gen, ledger, rho, reservoir)[0]
-
-
-def power(gen, ledger, rho, reservoir):
-    """Chemical power into the reservoir: -mu_alpha Tr{N_S L_alpha rho}."""
-    return _checked_reservoir_currents(gen, ledger, rho, reservoir)[1]
-
-
 def all_currents(gen, ledger, rho):
-    """dict reservoir -> (heat current, power), both positive into it.
+    """dict reservoir -> (heat current, power), both positive into it:
+    J_alpha = -Tr{(H_TD - mu_alpha N_S) L_alpha rho} and
+    P_alpha = -mu_alpha Tr{N_S L_alpha rho}.
 
     The ledger is validated once for all reservoirs.
     """

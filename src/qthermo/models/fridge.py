@@ -1,10 +1,10 @@
 """Three-qubit absorption refrigerator.
 
-Qubits c (cold), h (hot), r (room) with gaps eps_c, eps_h,
-eps_r = eps_c + eps_h (resonance enforced exactly), coupled by the
-three-body exchange g(|001><110| + |110><001|) in the |c h r> product
-basis. Each qubit exchanges photons with its own bosonic reservoir
-(mu = 0); temperatures are expected ordered T_c <= T_r <= T_h.
+Qubits c (cold), h (hot), r (room) with gaps eps_c, eps_h and
+eps_r = eps_c + eps_h (exact resonance: eps_r is derived, never given),
+coupled by the three-body exchange g(|001><110| + |110><001|) in the
+|c h r> product basis. Each qubit exchanges photons with its own bosonic
+reservoir (mu = 0); temperatures are expected ordered T_c <= T_r <= T_h.
 
 A heat flow hot -> room drags heat out of the cold reservoir; the
 tendency is captured by the single number I = 2g Im<sigma_r† sigma_c
@@ -33,6 +33,8 @@ SIGMA_H = kron(IDENT2, kron(LOWER, IDENT2))
 SIGMA_R = kron(IDENT2, kron(IDENT2, LOWER))
 _NUM = {tag: dagger(op) @ op for tag, op in
         (("c", SIGMA_C), ("h", SIGMA_H), ("r", SIGMA_R))}
+# The three-body exchange operator sigma_r† sigma_c sigma_h = |001><110|.
+EXCHANGE = dagger(SIGMA_R) @ SIGMA_C @ SIGMA_H
 
 # Bookkeeping against structural currents, relative to max(|I| eps_r, 1).
 TOL_CURRENT_CONSISTENCY = 1e-9
@@ -48,25 +50,18 @@ class FridgeParams:
 
     ``reservoirs`` maps "c"/"h"/"r" to bosonic ReservoirSpec whose
     coupling is the *bare* rate (the one multiplying n_B and n_B + 1).
-    ``eps_r`` defaults to eps_c + eps_h; passing anything else is an
-    error (the resonance is exact by construction).
+    The room gap ``eps_r`` is the property eps_c + eps_h, so the
+    resonance holds by construction.
     """
 
     eps_c: float
     eps_h: float
     g: float
     reservoirs: Mapping[str, ReservoirSpec]
-    eps_r: float = None
 
     def __post_init__(self):
         if self.eps_c <= 0 or self.eps_h <= 0:
             raise ValueError("qubit gaps must be positive")
-        if self.eps_r is None:
-            object.__setattr__(self, "eps_r", self.eps_c + self.eps_h)
-        elif self.eps_r != self.eps_c + self.eps_h:
-            raise ValueError(
-                f"resonance violated: eps_r = {self.eps_r} != eps_c + eps_h "
-                f"= {self.eps_c + self.eps_h} (must hold exactly)")
         object.__setattr__(self, "reservoirs", dict(self.reservoirs))
         if set(self.reservoirs) != {"c", "h", "r"}:
             raise ValueError("fridge requires reservoirs tagged 'c', 'h', 'r'")
@@ -76,6 +71,10 @@ class FridgeParams:
             if not math.isfinite(bose_einstein(self.gap(tag), res)):
                 raise ValueError(f"qubit {tag!r}: Bose occupation not finite "
                                  f"at eps/k_B T = {res.beta * self.gap(tag)}")
+
+    @property
+    def eps_r(self):
+        return self.eps_c + self.eps_h
 
     def gap(self, tag):
         return {"c": self.eps_c, "h": self.eps_h, "r": self.eps_r}[tag]
@@ -97,8 +96,7 @@ class FridgeParams:
 def hamiltonian(params):
     h0 = (params.eps_c * _NUM["c"] + params.eps_h * _NUM["h"]
           + params.eps_r * _NUM["r"])
-    exchange = dagger(SIGMA_R) @ SIGMA_C @ SIGMA_H
-    return h0 + params.g * (exchange + dagger(exchange)), h0
+    return h0 + params.g * (EXCHANGE + dagger(EXCHANGE)), h0
 
 
 def fridge_generator(params):
@@ -138,8 +136,7 @@ def exchange_amplitude(params, rho):
 
 def _exchange_amplitude(g, rho):
     """2g Im Tr(sigma_r† sigma_c sigma_h rho) of each state of a stack."""
-    op = dagger(SIGMA_R) @ SIGMA_C @ SIGMA_H
-    return 2.0 * g * np.trace(op @ rho, axis1=-2, axis2=-1).imag
+    return 2.0 * g * np.trace(EXCHANGE @ rho, axis1=-2, axis2=-1).imag
 
 
 def cooling_window_boundary(params):

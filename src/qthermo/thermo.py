@@ -1,8 +1,7 @@
 """Equilibrium states, occupation functions, and information measures.
 
 Reservoirs are described by :class:`ReservoirSpec`; everything else is a
-pure function of numpy arrays. Entropies are in nats unless a base-2
-switch is offered explicitly.
+pure function of numpy arrays. Every entropy is in nats.
 """
 
 import math
@@ -140,18 +139,15 @@ def von_neumann_entropy(rho):
     return float(-np.sum(nz * np.log(nz)))
 
 
-def shannon_entropy(p, base="e"):
-    """Shannon entropy of a probability vector, in nats (base 'e') or bits."""
+def shannon_entropy(p):
+    """Shannon entropy -sum p ln p of a probability vector, in nats."""
     p = np.asarray(p, dtype=float)
     if p.min() < 0:
         raise ValueError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > TOL_TRACE:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    if base not in ("e", 2):
-        raise ValueError("base must be 'e' or 2")
     nz = p[p > 0]
-    h = float(-np.sum(nz * np.log(nz)))
-    return h / math.log(2) if base == 2 else h
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def relative_entropy(rho, sigma):

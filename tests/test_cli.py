@@ -472,6 +472,7 @@ class TestSweepFailures:
         config = json.loads(
             (CONFIGS / "absorption_switchoff.json").read_text())
         config["params"][key] = value
+        del config["params"]["steps"]  # read only by the transient
         config["sweep"] = {"name": "kappa_c", "start": 0.005, "stop": 0.01,
                            "steps": 2}
         config["output"]["path"] = str(tmp_path / "abs.csv")
@@ -784,13 +785,14 @@ class TestValidate:
         assert "warning" in out and "interdot" in out
 
     def test_fridge_resonance_violation_is_hard_error(self, tmp_path, capsys):
+        # eps_r = eps_c + eps_h is derived, so no config can set it
         path = write_config(tmp_path / "v.json", {
             "experiment": "absorption",
             "params": {"eps_c": 0.3, "eps_h": 1.0, "eps_r": 1.2, "g": 0.05,
                        "T_c": 0.4, "T_r": 1.0, "T_h": 2.0, "kappa_c": 0.02,
                        "kappa_h": 0.03, "kappa_r": 0.025}})
         assert main(["validate", path]) == 2
-        assert "resonance" in capsys.readouterr().err
+        assert "unknown keys ['eps_r'] in params" in capsys.readouterr().err
 
     def test_valid_config_silent(self, tmp_path, capsys):
         path = write_config(tmp_path / "v.json", {
@@ -870,9 +872,9 @@ class TestValidate:
          "params.tau must be >= 0"),
         ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": True},
           "sweep": {"name": "g", "start": 0.01, "stop": 0.05, "steps": 3}},
-         "key 'eps_r' has wrong type bool"),
+         "unknown keys ['eps_r']"),
         ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": "x"}},
-         "key 'eps_r' has wrong type str"),
+         "unknown keys ['eps_r']"),
         ({"experiment": "double-dot",
           "params": {**DOUBLE_DOT, "mode": "secular"}},
          "params.mode must be 'local', got 'secular'"),
@@ -907,6 +909,18 @@ class TestValidate:
         ({"experiment": "absorption", "params": {**FRIDGE, "g": 1e-320}},
          "config error: params.g = 1e-320 is too small for the switch-off "
          "protocol"),
+        # only the transient reads t_max and steps
+        ({"experiment": "absorption",
+          "params": {**FRIDGE, "steps": 7, "t_max": 123.0},
+          "sweep": {"name": "g", "start": 0.01, "stop": 0.05, "steps": 3}},
+         "unknown keys ['steps', 't_max'] in params"),
+        ({"experiment": "absorption", "params": {**FRIDGE, "t_max": 123.0},
+          "sweep": {"name": "g", "start": 0.01, "stop": 0.05, "steps": 3}},
+         "unknown keys ['t_max'] in params"),
+        # the room gap is derived, even where a config gives the sum
+        ({"experiment": "absorption",
+          "params": {**FRIDGE, "eps_c": 0.1, "eps_h": 0.2, "eps_r": 0.3}},
+         "unknown keys ['eps_r'] in params"),
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
                                       config, message):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qthermo import qcore
 from qthermo.fcs import (CountingError, cgf, counting_liouvillian, cumulants,
-                         dominant_eigenvalue, dominant_eigenvalue_path,
-                         heat_and_work_weights, particle_weights,
-                         spectral_gap, tur_audit, tur_engine_form)
+                         dominant_eigenvalue, heat_and_work_weights,
+                         particle_weights, spectral_gap, tur_audit,
+                         tur_engine_form)
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
                               build_liouvillian, entropy_production_rate,
                               steady_state)
@@ -151,14 +151,6 @@ class TestDominantEigenvalue:
         for chi in (0.0, 0.8, 2.9):
             nu = dominant_eigenvalue(counting_liouvillian(gen, chi * w))
             assert abs(nu - nu_plus(chi, kl, kr)) < 1e-12
-
-    def test_continuity_along_chi(self):
-        # tracking oracle: small-step continuation never jumps
-        gen, w = high_bias_dot(1.0, 0.9)
-        chis = np.linspace(0.0, 2 * np.pi, 400)
-        path = dominant_eigenvalue_path(gen, w, chis)
-        steps = np.abs(np.diff(path))
-        assert steps.max() < 0.1 * (1.0 + 0.9)
 
 
 class TestCumulants:

@@ -5,9 +5,12 @@ reservoirs, so the second law, the steady-state first law and the
 relaxation to the unique steady state must hold for any draw. Its steady
 state stays unique under a change of units and at weak coupling, and the
 first cumulant of its entropy-production field is the entropy production
-rate. With a diagonal Hamiltonian the field's generating function has the
-Gallavotti-Cohen symmetry and the jump sampler's mean heat is the exact
-first cumulant.
+rate. Its generating function at chi equals that of the time-reversed
+generator (H replaced by H*) at i - chi. With a diagonal Hamiltonian the
+time reversal is trivial, so the field has the Gallavotti-Cohen symmetry
+itself; then every current also obeys the thermodynamic uncertainty
+relation, and the jump sampler's mean heat is the exact first cumulant.
+A coherent Hamiltonian can break the uncertainty relation.
 """
 
 import math
@@ -146,6 +149,71 @@ def test_gallavotti_cohen_symmetry(pair):
         mirror = dominant_eigenvalue(
             counting_liouvillian(gen, (1j - chi) * weights))
         assert abs(nu - mirror) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=generators)
+def test_time_reversed_gallavotti_cohen_symmetry(pair):
+    # the draws' jump operators are real, so complex conjugation reverses
+    # time by replacing H with H*; imaginary couplings in H act as a
+    # magnetic field does (Saito & Utsumi, PRB 78, 115429 (2008))
+    gen, ledger = pair
+    reversed_gen = GKLSGenerator(gen.hamiltonian.conj(), gen.channels)
+    weights = entropy_field(gen, ledger)
+    bound = 1e-12 * max(1.0, np.abs(build_liouvillian(gen)).max())
+    for chi in np.linspace(-1.5, 2.5, 9):
+        nu = dominant_eigenvalue(counting_liouvillian(gen, chi * weights))
+        mirror = dominant_eigenvalue(
+            counting_liouvillian(reversed_gen, (1j - chi) * weights))
+        assert abs(nu - mirror) <= bound
+
+
+def current_fields(gen, ledger):
+    """Per-channel weights of the heat current into each reservoir, and
+    of its particle current where the reservoir exchanges particles."""
+    for tag in gen.reservoirs():
+        yield heat_and_work_weights(gen, ledger, tag)[0]
+        if any(ch.particle_quantum for ch in gen.channels
+               if ch.reservoir == tag):
+            yield particle_weights(gen, tag)
+
+
+def tur_ratios(gen, ledger):
+    """c2 sigma_dot / (2 k_B c1^2) of each current with |c1| >= 1e-9, the
+    TUR's variance over its bound, and the entropy production rate."""
+    sigma_dot = entropy_production_rate(gen, ledger, steady_state(gen))
+    ratios = []
+    for weights in current_fields(gen, ledger):
+        c1, c2 = cumulants(gen, weights, 2)
+        if abs(c1) >= 1e-9:
+            ratios.append(c2 * sigma_dot / (2 * qcore.KB * c1 ** 2))
+    return ratios, sigma_dot
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=generators)
+def test_tur_for_diagonal_hamiltonians(pair):
+    # c2 / c1^2 >= 2 k_B / sigma_dot (Barato & Seifert, PRL 114, 158101
+    # (2015)), with sigma_dot allowed the rounding of
+    # test_entropy_production_is_the_first_cumulant: near equilibrium the
+    # bound is saturated to within it
+    gen, ledger = pair
+    gen = GKLSGenerator(ledger.h_td, gen.channels)
+    ratios, sigma_dot = tur_ratios(gen, ledger)
+    if sigma_dot > 1e-12:
+        margin = 1e-12 * max(1.0, sigma_dot) / sigma_dot
+        assert all(ratio >= 1.0 - margin for ratio in ratios)
+
+
+def test_coherent_draw_breaks_the_tur():
+    # the classical TUR need not hold with coherence (Ptaszynski, PRB 98,
+    # 085425 (2018)): this d = 2 draw has a complex coupling between its
+    # degenerate levels, and its heat and particle currents violate it
+    gen, ledger = ldb_generator(2, 399)
+    assert np.abs(gen.hamiltonian.imag).max() > 0.0
+    ratios, sigma_dot = tur_ratios(gen, ledger)
+    assert sigma_dot == pytest.approx(0.0654083342746696, rel=1e-9)
+    assert ratios == pytest.approx([0.948967969763074] * 2, rel=1e-9)
 
 
 def single_dot(kappa):

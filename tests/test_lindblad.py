@@ -8,9 +8,8 @@ from qthermo.lindblad import (GKLSGenerator, JumpChannel, LedgerError,
                               MultistabilityError, ThermoLedger,
                               all_currents, build_liouvillian,
                               entropy_production_rate, entropy_rate,
-                              generator_apply, heat_current,
-                              local_detailed_balance_check, power, propagate,
-                              steady_state, validate_ledger)
+                              generator_apply, local_detailed_balance_check,
+                              propagate, steady_state, validate_ledger)
 from qthermo.models.common import LOWER, NUMBER, RAISE
 from qthermo.qcore import (dagger, dissipator_apply, trace_vector,
                            unvectorize, vectorize)
@@ -88,7 +87,7 @@ class TestTypes:
         ledger = ThermoLedger(gen.hamiltonian, NUMBER, {"other": res})
         rho = np.diag([0.6, 0.4]).astype(complex)
         with pytest.raises(LedgerError):
-            heat_current(gen, ledger, rho, "B")
+            all_currents(gen, ledger, rho)
 
 
 class TestDissipator:
@@ -270,10 +269,9 @@ class TestBookkeeping:
         p1_0 = 0.85
         for t in (0.0, 0.7, 2.5):
             rho = propagate(gen, np.diag([1 - p1_0, p1_0]).astype(complex), t)
-            j = heat_current(gen, ledger, rho, "B")
+            j, p = all_currents(gen, ledger, rho)["B"]
             expected = (1.0 - 0.2) * 0.4 * math.exp(-0.4 * t) * (p1_0 - nf)
             assert j == pytest.approx(expected, abs=1e-12)
-            p = power(gen, ledger, rho, "B")
             assert p == pytest.approx(0.2 * 0.4 * math.exp(-0.4 * t) * (p1_0 - nf),
                                       abs=1e-12)
 

@@ -40,8 +40,12 @@ class TestConstruction:
     def test_resonance_is_exact(self):
         p = fridge()
         assert p.eps_r == p.eps_c + p.eps_h
-        with pytest.raises(ValueError):
-            FridgeParams(0.6, 1.4, 0.05, fridge().reservoirs, eps_r=2.1)
+        # the sum of the gaps, not a decimal that equals it on paper
+        assert FridgeParams(0.1, 0.2, 0.05, p.reservoirs).eps_r == 0.1 + 0.2
+        with pytest.raises(TypeError):
+            FridgeParams(0.6, 1.4, 0.05, p.reservoirs, eps_r=2.0)
+        with pytest.raises(AttributeError):
+            p.eps_r = 2.0
 
     def test_fermionic_reservoir_rejected(self):
         with pytest.raises(ValueError):

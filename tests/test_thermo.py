@@ -181,7 +181,9 @@ class TestEntropies:
         assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(math.log(2))
 
     def test_shannon_block_example(self):
-        assert shannon_entropy([0.5, 0.25, 0.125, 0.125], base=2) == pytest.approx(7 / 4)
+        # 7/4 bits
+        assert shannon_entropy([0.5, 0.25, 0.125, 0.125]) == pytest.approx(
+            7 / 4 * math.log(2))
 
     def test_shannon_uniform(self):
         assert shannon_entropy(np.full(7, 1 / 7)) == pytest.approx(math.log(7))

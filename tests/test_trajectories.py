@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qthermo.lindblad import (GKLSGenerator, JumpChannel, ThermoLedger,
-                              heat_current, propagate, steady_state)
+                              all_currents, propagate, steady_state)
 from qthermo.models import (DoubleDotParams, FridgeParams, SingleDotParams,
                             double_dot_generator, fridge_generator,
                             single_dot_generator)
@@ -377,7 +377,7 @@ class TestUnravelPhysics:
         ens = unravel(gen, ledger, np.real(np.diag(rho)), tau, 12, 60_000,
                       record_events=False)
         for tag in ("c", "h"):
-            j = heat_current(gen, ledger, rho, tag)
+            j, _ = all_currents(gen, ledger, rho)[tag]
             mean_q = ens.heat[tag].mean() / tau
             se = ens.heat[tag].std(ddof=1) / math.sqrt(len(ens)) / tau
             assert abs(mean_q - j) < 5 * se
