@@ -233,14 +233,12 @@ def _engine_table(params, seed):
 
 
 _DOUBLE_DOT_KEYS = {"eps", "g", "T_L", "T_R", "mu_L", "mu_R",
-                    "kappa_L", "kappa_R", "mode"}
+                    "kappa_L", "kappa_R"}
 
 
 def _double_dot_params(p, swept):
     # the tables are closed forms of the local mode with both dots coupled
     _check_keys(p, _DOUBLE_DOT_KEYS, "params")
-    if _opt(p, "mode", "local", str) != "local":
-        raise ConfigError(f"params.mode must be 'local', got {p['mode']!r}")
     reservoirs = _reservoirs(p, "LR", "fermionic")
     for tag, res in reservoirs.items():
         if res.coupling == 0.0:
@@ -381,7 +379,7 @@ def _tpm_table(points, seed):
     bwd = trajectories.tpm_distribution(
         trajectories.backward_protocol(protocol))
     dim = fwd.p_initial.size
-    samples = trajectories.tpm_sample(protocol, seed, n_samples)
+    samples = trajectories.tpm_sample(fwd, seed, n_samples)
     # one row per (n, m), n major
     return (["n", "m", "work", "p_forward", "p_backward", "count_sampled"],
             ["-", "-", "kref", "1", "1", "-"],
@@ -523,16 +521,22 @@ def _cells(names, units, columns):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qthermo-", suffix=".tmp")
+    """Replace ``path`` by ``text`` with the file mode of open(path, "w")."""
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".qthermo-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_table(path, fmt, names, units, columns, metadata):

@@ -7,7 +7,8 @@ particles, heat quanta omega - mu n, or chemical work mu n; see
 fields add up to one phase per channel, sum_f chi_f w_f. The dominant
 eigenvalue nu(chi) of the tilted Liouvillian is the scaled cumulant
 generating function in the long-time limit; its derivatives in s = i chi
-at 0 are the current cumulants.
+at 0 are the current cumulants. Every eigenvalue here comes from
+``qcore.eig_general``, which checks its residual contract.
 
 :func:`cumulants` computes those derivatives exactly, without finite
 differences, by the Rayleigh-Schroedinger recursion for the eigenpair of
@@ -126,15 +127,12 @@ def cgf(gen, phases, t, rho0):
 
 def dominant_eigenvalue(matrix):
     """Eigenvalue with the largest real part."""
-    values = np.linalg.eigvals(np.asarray(matrix, dtype=complex))
-    return complex(values[np.argmax(values.real)])
+    return complex(eig_general(matrix)[0][0])
 
 
 def spectral_gap(matrix):
     """|Re| of the second-slowest eigenvalue (decay rate toward the kernel)."""
-    values = np.linalg.eigvals(np.asarray(matrix, dtype=complex))
-    real = np.sort(values.real)[::-1]
-    return float(-real[1])
+    return float(-eig_general(matrix)[0][1].real)
 
 
 def cumulants(gen, weights, max_order=4):

@@ -57,7 +57,7 @@ from .qcore import (KB, TOL_COMMUTE, TOL_HERM, TOL_PSD_STEADY, NumericalError,
                     commutator_superop, dagger, dissipate, dissipator_superop,
                     expm_dense, hermitize, is_hermitian, kron,
                     raise_first_failure, unvectorize, vectorize)
-from .thermo import ReservoirSpec
+from .thermo import EXP_MAX, ReservoirSpec
 
 # Floor for state eigenvalues inside logarithms of dS_vN/dt; rank-deficient
 # states are clipped here instead of producing -inf.
@@ -505,7 +505,7 @@ def local_detailed_balance_check(channel_in, channel_out, res):
         return None
     exponent = res.beta * (channel_out.energy_quantum
                            - res.chemical_potential * channel_out.particle_quantum)
-    if exponent > 700.0:
+    if exponent > EXP_MAX:
         return None  # ratio overflows double precision: indeterminate
     expected = math.exp(exponent)
     ratio = channel_out.rate / channel_in.rate

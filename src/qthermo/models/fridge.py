@@ -50,6 +50,8 @@ class FridgeParams:
 
     ``reservoirs`` maps "c"/"h"/"r" to bosonic ReservoirSpec whose
     coupling is the *bare* rate (the one multiplying n_B and n_B + 1).
+    Each qubit's thermal occupation is the Fermi form at its own
+    reservoir's temperature, ``thermo.fermi_dirac`` of that reservoir.
     The room gap ``eps_r`` is the property eps_c + eps_h, so the
     resonance holds by construction.
     """
@@ -80,10 +82,9 @@ class FridgeParams:
         return {"c": self.eps_c, "h": self.eps_h, "r": self.eps_r}[tag]
 
     def qubit_occupation(self, tag):
-        """Fermi-form occupation n_F = 1/(e^{eps/k_B T} + 1) of one qubit."""
-        res = self.reservoirs[tag]
-        return fermi_dirac(self.gap(tag),
-                           ReservoirSpec(res.temperature, 0.0, "fermionic"))
+        """Fermi-form occupation n_F = 1/(e^{eps/k_B T} + 1) of one qubit,
+        at the temperature of its own bosonic reservoir."""
+        return fermi_dirac(self.gap(tag), self.reservoirs[tag])
 
     def effective_rate(self, tag):
         """kappa = kappa_bare * n_B / n_F, the rate in the Fermi form."""
@@ -129,13 +130,9 @@ def product_gibbs_state(params):
     return kron(blocks[0], kron(blocks[1], blocks[2]))
 
 
-def exchange_amplitude(params, rho):
-    """I = 2g Im<sigma_r† sigma_c sigma_h> in the given state."""
-    return float(_exchange_amplitude(params.g, rho))
-
-
-def _exchange_amplitude(g, rho):
-    """2g Im Tr(sigma_r† sigma_c sigma_h rho) of each state of a stack."""
+def exchange_amplitude(g, rho):
+    """I = 2g Im<sigma_r† sigma_c sigma_h> in a state, or in each state of a
+    stack with one g per state."""
     return 2.0 * g * np.trace(EXCHANGE @ rho, axis1=-2, axis2=-1).imag
 
 
@@ -169,7 +166,7 @@ def fridge_sweep_observables(sweep):
     """
     gen, ledger = stack_sweep([fridge_generator(p) for p in sweep])
     rho = steady_state(gen)
-    amps = _exchange_amplitude(np.array([p.g for p in sweep]), rho).tolist()
+    amps = exchange_amplitude(np.array([p.g for p in sweep]), rho).tolist()
     currents = {tag: j.tolist()
                 for tag, (j, _) in all_currents(gen, ledger, rho).items()}
     occs = np.trace(_NUM["c"] @ rho, axis1=-2, axis2=-1).real.tolist()

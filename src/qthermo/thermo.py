@@ -19,6 +19,8 @@ TOL_SUPPORT = 1e-10
 TOL_PASSIVE = 1e-9
 # central-difference step Delta T / T of the heat capacity
 HEAT_CAPACITY_STEP = 1e-5
+# e^x counts as overflowing above this x (math.exp's limit is 709.78)
+EXP_MAX = 700
 
 FERMIONIC = "fermionic"
 BOSONIC = "bosonic"
@@ -77,9 +79,8 @@ class ReservoirSpec:
 
 
 def fermi_dirac(omega, res):
-    """Fermi-Dirac occupation 1/(e^{(omega-mu)/k_B T} + 1)."""
-    if res.statistics != FERMIONIC:
-        raise ValueError("fermi_dirac requires a fermionic reservoir")
+    """Fermi-Dirac occupation 1/(e^{(omega-mu)/k_B T} + 1) at the T and mu
+    of any reservoir ``res``, fermionic or bosonic."""
     x = -res.beta * (omega - res.chemical_potential)
     try:  # scipy.special.expit(x) bit for bit; its 1/(1 + inf) is 0
         return 1.0 / (1.0 + math.exp(-x))
@@ -88,13 +89,14 @@ def fermi_dirac(omega, res):
 
 
 def bose_einstein(omega, res):
-    """Bose-Einstein occupation 1/(e^{omega/k_B T} - 1); omega must be > 0."""
+    """Bose-Einstein occupation 1/(e^z - 1) of z = omega/k_B T > 0."""
     if res.statistics != BOSONIC:
         raise ValueError("bose_einstein requires a bosonic reservoir")
-    if omega <= 0:
-        raise ValueError(f"bose_einstein diverges for omega <= 0 (got {omega})")
     z = res.beta * omega
-    if z > 700.0:  # expm1 overflows; occupation is zero to double precision
+    if not z > 0:  # omega <= 0, or a subnormal omega over k_B T > 1
+        raise ValueError(f"bose_einstein diverges at omega/k_B T = {z} "
+                         f"(omega = {omega})")
+    if z > EXP_MAX:  # occupation is e^{-z} to double precision
         return math.exp(-z)
     return 1.0 / math.expm1(z)
 

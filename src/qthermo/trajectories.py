@@ -22,8 +22,8 @@ RNG: counter-based Philox4x64-10 streams (Salmon et al., SC'11), so
 identical (seed, params) give bit-identical records regardless of
 execution order or batch size. Seeds are integers in [0, 2**64 - 1].
 
-- ``tpm_sample`` draws the whole sample from one Philox stream, key
-  [seed, 0].
+- ``tpm_sample`` draws the whole sample of a given TPM law from one
+  Philox stream, key [seed, 0].
 - ``unravel``: trajectory i reads the blocks at counters [b, 0, 0, i],
   b = 1, 2, ..., under key [seed, 0]. The uint64 words of those blocks
   in order form its draw stream, each word x giving u = (x >> 11) * 2**-53
@@ -263,9 +263,9 @@ class TPMSamples:
         return self.work.size
 
 
-def tpm_sample(protocol, seed, n_samples):
-    """Monte Carlo TPM runs: sample n from the Gibbs weights, then m from
-    the conditional transition probabilities. Same seed, same stream."""
+def tpm_sample(dist, seed, n_samples):
+    """Monte Carlo TPM runs of the :class:`TPMDistribution` ``dist``: n from
+    its initial weights, m from its transitions. Same seed, same stream."""
     seed = _check_seed(seed)
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 0:
@@ -273,7 +273,6 @@ def tpm_sample(protocol, seed, n_samples):
     if n_samples > np.iinfo(np.intp).max:
         raise ValueError(f"n_samples must be <= {np.iinfo(np.intp).max}, "
                          f"got {n_samples}")
-    dist = tpm_distribution(protocol)
     # a uint64 array key: numpy converts a list key lossily from 2**63 up
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, 0], dtype=np.uint64)))

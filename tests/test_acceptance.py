@@ -228,7 +228,7 @@ def test_criterion_5_fridge_identities(rng):
     for ratio in ratios:
         p = FridgeParams(ratio * 1.0, 1.0, 0.05, reservoirs)
         gen, _ = fridge_generator(p)
-        signs.append(math.copysign(1.0, exchange_amplitude(p, steady_state(gen))))
+        signs.append(math.copysign(1.0, exchange_amplitude(p.g, steady_state(gen))))
     flips = np.where(np.diff(signs) != 0)[0]
     assert flips.size == 1
     flip_at = 0.5 * (ratios[flips[0]] + ratios[flips[0] + 1])
@@ -248,7 +248,7 @@ def test_criterion_6_perturbative_fridge():
     kappa_sum = sum(base.effective_rate(t) for t in ("c", "h", "r"))
     p = FridgeParams(base.eps_c, base.eps_h, 1e-3 * kappa_sum, base.reservoirs)
     gen, _ = fridge_generator(p)
-    full = exchange_amplitude(p, steady_state(gen))
+    full = exchange_amplitude(p.g, steady_state(gen))
     approx = fridge_perturbative_I(p)
     rel = abs(full - approx) / abs(full)
     assert rel <= 1e-3
@@ -322,12 +322,13 @@ def test_criterion_8_jarzynski_crooks_desk_scale():
     assert exact_gap <= 1e-10
 
     n = 1_000_000
-    samples = tpm_sample(protocol, 2024, n)
+    samples = tpm_sample(dist, 2024, n)
     est = jarzynski_estimate(samples.work, beta)
     target = math.exp(-beta * dist.delta_free_energy())
     assert abs(est.estimate - target) <= 4 * est.stderr
 
-    backward = tpm_sample(backward_protocol(protocol), 2025, n)
+    backward = tpm_sample(tpm_distribution(backward_protocol(protocol)), 2025,
+                          n)
     values, _ = dist.work_distribution()
     mids = 0.5 * (values[:-1] + values[1:])
     edges = np.concatenate([[values[0] - 0.5], mids, [values[-1] + 0.5]])

@@ -73,7 +73,7 @@ def mutable_keys():
 MISSING = "(missing)"
 # a wrong type, 0, negative, huge, subnormal, or no key at all
 MUTATIONS = ["x", True, None, [1.0], 0, -1, -0.5, 2**70, 1e300, 1e-320,
-             MISSING]
+             5e-324, MISSING]
 # caps on the committed counts, so that each run stays small
 COUNT_CAPS = {"n_traj": 200, "n_samples": 200, "steps": 4}
 
@@ -249,6 +249,28 @@ class TestHeatEngineRuns:
         assert alt.exists()
         meta = [l for l in open(alt) if l.startswith("# seed")]
         assert meta == ["# seed: 99\n"]
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys,
+                                               missing_dir):
+        # a missing directory, or an output path that is a directory
+        out = tmp_path / "dir"
+        if missing_dir:
+            out = out / "out.csv"
+        else:
+            out.mkdir()
+        assert main(["run", engine_config(tmp_path), "--out", str(out)]) == 2
+        assert f"config error: cannot write output {out}: " in \
+            capsys.readouterr().err
+        assert list(tmp_path.rglob(".qthermo-*")) == []
+
+    def test_table_gets_the_mode_of_a_plain_open(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert main(["run", engine_config(tmp_path)]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out.csv").stat().st_mode & 0o777 == 0o644
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # eta is undefined at eps_d = mu_h; sweep crossing it aborts
@@ -779,7 +801,7 @@ class TestValidate:
             "experiment": "double-dot",
             "params": {"eps": 1.0, "g": 1.0, "T_L": 0.5, "T_R": 0.5,
                        "mu_L": 0.2, "mu_R": -0.2, "kappa_L": 1.0,
-                       "kappa_R": 1.0, "mode": "local"}})
+                       "kappa_R": 1.0}})
         assert main(["validate", path]) == 0
         out = capsys.readouterr().out
         assert "warning" in out and "interdot" in out
@@ -875,9 +897,10 @@ class TestValidate:
          "unknown keys ['eps_r']"),
         ({"experiment": "absorption", "params": {**FRIDGE, "eps_r": "x"}},
          "unknown keys ['eps_r']"),
+        # the tables are closed forms of the local mode: no mode key
         ({"experiment": "double-dot",
-          "params": {**DOUBLE_DOT, "mode": "secular"}},
-         "params.mode must be 'local', got 'secular'"),
+          "params": {**DOUBLE_DOT, "mode": "local"}},
+         "unknown keys ['mode'] in params"),
         ({"experiment": "double-dot", "params": {**DOUBLE_DOT, "kappa_R": 0}},
          "params.kappa_R must be > 0"),
         ({"experiment": "tpm", "params": {**TPM, "n_samples": 2**70}},
@@ -921,6 +944,11 @@ class TestValidate:
         ({"experiment": "absorption",
           "params": {**FRIDGE, "eps_c": 0.1, "eps_h": 0.2, "eps_r": 0.3}},
          "unknown keys ['eps_r'] in params"),
+        # eps_h / k_B T_h = 5e-324 / 2 rounds to 0, where the hot qubit's
+        # Bose occupation diverges
+        ({"experiment": "absorption", "params": {**FRIDGE, "eps_h": 5e-324}},
+         "config error: bose_einstein diverges at omega/k_B T = 0.0 "
+         "(omega = 5e-324)"),
     ])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, monkeypatch,
                                       config, message):

@@ -108,7 +108,7 @@ class TestSteadyState:
         p = fridge()
         gen, ledger = fridge_generator(p)
         rho = steady_state(gen)
-        amp = exchange_amplitude(p, rho)
+        amp = exchange_amplitude(p.g, rho)
         cur = all_currents(gen, ledger, rho)
         assert cur["c"][0] == pytest.approx(-p.eps_c * amp, abs=1e-12)
         assert cur["h"][0] == pytest.approx(-p.eps_h * amp, abs=1e-12)
@@ -179,7 +179,7 @@ class TestPerturbation:
         kappa_sum = sum(p0.effective_rate(t) for t in ("c", "h", "r"))
         p = FridgeParams(p0.eps_c, p0.eps_h, 1e-3 * kappa_sum, p0.reservoirs)
         gen, _ = fridge_generator(p)
-        full = exchange_amplitude(p, steady_state(gen))
+        full = exchange_amplitude(p.g, steady_state(gen))
         approx = fridge_perturbative_I(p)
         assert abs(full - approx) / abs(full) <= 1e-3
 

@@ -114,6 +114,10 @@ class TestOccupations:
             bose_einstein(0.0, BOSE_RES)
         with pytest.raises(ValueError):
             bose_einstein(-1.0, BOSE_RES)
+        # omega / k_B T = 5e-324 / 2 rounds to 0, where 1/expm1 divided by 0
+        hot = ReservoirSpec(temperature=2.0, statistics="bosonic")
+        with pytest.raises(ValueError, match="diverges"):
+            bose_einstein(5e-324, hot)
 
     def test_bose_strictly_decreasing(self):
         omegas = np.linspace(0.1, 3, 30)

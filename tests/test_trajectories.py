@@ -130,23 +130,23 @@ class TestTPMDistribution:
 class TestTPMSampling:
     def test_constant_hamiltonian_samples(self):
         prot = TPMProtocol(((0.0, 0.5 * SZ),), 1.0, 2.0)
-        samples = tpm_sample(prot, 11, 4000)
+        samples = tpm_sample(tpm_distribution(prot), 11, 4000)
         assert np.all(samples.work == 0.0)
 
     def test_seed_determinism(self):
-        prot = quench_protocol()
-        a = tpm_sample(prot, 5, 2000)
-        b = tpm_sample(prot, 5, 2000)
+        dist = tpm_distribution(quench_protocol())
+        a = tpm_sample(dist, 5, 2000)
+        b = tpm_sample(dist, 5, 2000)
         assert np.array_equal(a.initial, b.initial)
         assert np.array_equal(a.final, b.final)
         assert np.array_equal(a.work, b.work)
-        c = tpm_sample(prot, 6, 2000)
+        c = tpm_sample(dist, 6, 2000)
         assert not np.array_equal(a.final, c.final)
 
     def test_sample_mean_within_five_stderr(self):
         prot = quench_protocol()
         dist = tpm_distribution(prot)
-        samples = tpm_sample(prot, 7, 100_000)
+        samples = tpm_sample(dist, 7, 100_000)
         se = samples.work.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.work.mean() - dist.mean_work()) < 5 * se
 
@@ -154,7 +154,7 @@ class TestTPMSampling:
         prot = quench_protocol()
         dist = tpm_distribution(prot)
         n = 100_000
-        samples = tpm_sample(prot, 13, n)
+        samples = tpm_sample(dist, 13, n)
         counts = np.zeros((2, 2))
         np.add.at(counts, (samples.initial, samples.final), 1)
         expected = dist.joint * n
@@ -204,7 +204,7 @@ def tpm_quenches(draw):
 @given(protocol=tpm_quenches(), seed=st.integers(0, 2**64 - 1),
        n_samples=st.sampled_from([0, 1, 1000]))
 def test_tpm_sample_matches_masked_searchsorted(protocol, seed, n_samples):
-    samples = tpm_sample(protocol, seed, n_samples)
+    samples = tpm_sample(tpm_distribution(protocol), seed, n_samples)
     for got, expected in zip((samples.initial, samples.final, samples.work),
                              reference_tpm_sample(protocol, seed, n_samples)):
         assert got.dtype == expected.dtype
@@ -237,7 +237,7 @@ class TestBackwardProtocol:
 class TestCrooksJarzynski:
     def test_trivial_protocol(self):
         prot = TPMProtocol(((0.0, 0.5 * SZ),), 1.0, 2.0)
-        samples = tpm_sample(prot, 3, 5000)
+        samples = tpm_sample(tpm_distribution(prot), 3, 5000)
         est = jarzynski_estimate(samples.work, 1.0)
         assert est.estimate == 1.0
         assert est.stderr == 0.0
@@ -257,7 +257,7 @@ class TestCrooksJarzynski:
     def test_monte_carlo_jarzynski(self):
         prot = quench_protocol(beta=1.0)
         dist = tpm_distribution(prot)
-        samples = tpm_sample(prot, 21, 1_000_000)
+        samples = tpm_sample(dist, 21, 1_000_000)
         est = jarzynski_estimate(samples.work, 1.0)
         target = math.exp(-1.0 * dist.delta_free_energy())
         assert abs(est.estimate - target) <= 4 * est.stderr
@@ -266,8 +266,9 @@ class TestCrooksJarzynski:
     def test_monte_carlo_crooks_slope(self):
         prot = quench_protocol(beta=1.0)
         dist = tpm_distribution(prot)
-        fwd = tpm_sample(prot, 31, 400_000)
-        bwd = tpm_sample(backward_protocol(prot), 32, 400_000)
+        fwd = tpm_sample(dist, 31, 400_000)
+        bwd = tpm_sample(tpm_distribution(backward_protocol(prot)), 32,
+                         400_000)
         values, _ = dist.work_distribution()
         edges = np.concatenate([values - 0.25, [values[-1] + 0.25]])
         rep = crooks_check(fwd.work, bwd.work, 1.0, dist.delta_free_energy(),
@@ -279,8 +280,9 @@ class TestCrooksJarzynski:
         h1 = 0.8 * (math.cos(0.9) * SZ + math.sin(0.9) * SX)
         prot = TPMProtocol(((0.0, 0.5 * SZ), (0.0, h1)), 1.0, 0.7)
         dist = tpm_distribution(prot)
-        fwd = tpm_sample(prot, 31, 400_000)
-        bwd = tpm_sample(backward_protocol(prot), 32, 400_000)
+        fwd = tpm_sample(dist, 31, 400_000)
+        bwd = tpm_sample(tpm_distribution(backward_protocol(prot)), 32,
+                         400_000)
         values, _ = dist.work_distribution()
         edges = np.concatenate([values - 0.25, [values[-1] + 0.25]])
         rep = crooks_check(fwd.work, bwd.work, 1.0, dist.delta_free_energy(),
@@ -293,7 +295,7 @@ class TestCrooksJarzynski:
     def test_dissipated_work_nonnegative(self):
         for angle in (0.2, 0.9, 1.4):
             prot = quench_protocol(angle=angle)
-            samples = tpm_sample(prot, 17, 50_000)
+            samples = tpm_sample(tpm_distribution(prot), 17, 50_000)
             est = jarzynski_estimate(samples.work, 1.0)
             assert est.dissipated_work >= -1e-12
 
@@ -1033,12 +1035,12 @@ class TestSeedsAndSizes:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_tpm_sample_rejects_seed_out_of_range(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            tpm_sample(quench_protocol(), seed, 10)
+            tpm_sample(tpm_distribution(quench_protocol()), seed, 10)
 
     def test_tpm_sample_large_seeds_are_distinct(self):
         # keys above 2**63 are kept exactly, not collapsed by a cast
-        prot = quench_protocol()
-        finals = [tpm_sample(prot, seed, 200).final
+        dist = tpm_distribution(quench_protocol())
+        finals = [tpm_sample(dist, seed, 200).final
                   for seed in (0, 2**63 + 5, 2**63 + 6, 2**64 - 2)]
         for a in range(len(finals)):
             for b in range(a):
@@ -1115,4 +1117,4 @@ class TestSamplingInputsRejected:
     @pytest.mark.parametrize("n_samples", [-5, 10.0, "10", 2**63, 2**70])
     def test_tpm_sample_rejects_bad_count(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
-            tpm_sample(quench_protocol(), 1, n_samples)
+            tpm_sample(tpm_distribution(quench_protocol()), 1, n_samples)
