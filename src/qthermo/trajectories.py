@@ -28,15 +28,17 @@ execution order or batch size. Seeds are integers in [0, 2**64 - 1].
   b = 1, 2, ..., under key [seed, 0]. The uint64 words of those blocks
   in order form its draw stream, each word x giving u = (x >> 11) * 2**-53
   (numpy's ``random()`` of that Philox state). Draw 0 picks the initial
-  state. Jumps read the stream in batches of 64 draws: each jump takes the
-  next two draws (waiting time, channel) and moves on to the next batch
-  when fewer than two are left, so draw 63 is never used. The waiting
-  time out of a state of escape rate r is -log(1 - u) / r, with the C
-  library's log (the one ``math.log`` calls) applied as a ufunc by
-  ``_libm_log``, so ensembles are bit-reproducible for a given libm. The
-  sampler reads the streams block by block: block b of every trajectory
-  still alive, in slices of at most ``_CHUNK`` trajectories, then block
-  b + 1 for the survivors.
+  state, the count of cumsum(p0)'s entries <= u capped at d - 1 (every
+  index draw has this searchsorted(side="right") rule). Jumps read the
+  stream in batches of 64 draws: each jump takes the next two draws
+  (waiting time, channel) and moves on to the next batch when fewer than
+  two are left, so draw 63 is never used. The waiting time out of a
+  state of escape rate r is -log(1 - u) / r, with the C library's log
+  (the one ``math.log`` calls) applied as a ufunc by ``_libm_log``, so
+  ensembles are bit-reproducible for a given libm. The sampler reads the
+  streams block by block, each in slices of at most ``_CHUNK`` live
+  trajectories that keep only the words still to be read: block b of
+  every trajectory still alive, then block b + 1 for the survivors.
 """
 
 import math
@@ -88,6 +90,14 @@ def _check_seed(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64 - 1], "
                          f"got {seed}")
     return seed
+
+
+def _count_le(columns, x, count):
+    """``count`` plus how many ``columns`` are <= x: the index that x draws
+    from a non-decreasing cumulative table given without its last entry."""
+    for column in columns:
+        count += column <= x
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +290,10 @@ def tpm_sample(dist, seed, n_samples):
     n_idx = rng.choice(dim, size=n_samples, p=dist.p_initial)
     cum = np.cumsum(dist.transition, axis=0)  # cum[m, n]
     u = rng.random(n_samples)
-    # m counts column n's entries <= u: searchsorted(side="right") on it
-    m_idx = np.zeros(n_samples, dtype=np.int64)
-    for row in cum:
-        m_idx += row.take(n_idx) <= u
-    np.minimum(m_idx, dim - 1, out=m_idx)
+    m_idx = _count_le((row.take(n_idx) for row in cum[:-1]), u,
+                      np.zeros(n_samples, dtype=np.int64))
     work = dist.energies_final[m_idx] - dist.energies_initial[n_idx]
-    return TPMSamples(n_idx.astype(np.int64), m_idx, work)
+    return TPMSamples(n_idx.astype(np.int64, copy=False), m_idx, work)
 
 
 def microreversibility_defect(protocol):
@@ -424,11 +431,11 @@ def _jump_tables(gen, ledger):
     """Diagonalize H_TD, verify population closure, tabulate the jumps.
 
     Returns (classical rate matrix, reservoirs, state tables, quanta).
-    Row j of the state tables ``cum``, ``targets`` and ``channels``
-    lists the moves out of state j in channel order:
-    cumulative rates (summed left to right), target states and channel
-    indices, padded with +inf / -1 up to the widest row. ``totals[j]`` is
-    the escape rate, ``cum[j]``'s last finite entry. The quanta
+    Row j of ``targets`` and ``channels`` lists the target states and
+    channel indices of the moves out of state j in channel order, padded
+    with -1; ``totals[j]`` is its escape rate. Row c of ``cum`` holds, per
+    state, the summed rate of its moves 0..c (+inf from its last move on),
+    from which ``_count_le`` draws a move. The quanta
     ``(reservoir index, heat, work)`` are indexed by channel. Raises
     PopulationClosureError with guidance when coherences are dynamically
     coupled to populations.
@@ -482,7 +489,9 @@ def _jump_tables(gen, ledger):
         dq.append(float(ch.energy_quantum - mu * ch.particle_quantum))
         dw.append(float(mu * ch.particle_quantum))
     keep = max(1, int(width.max()))
-    tables = (totals, *(a[:, :keep].copy() for a in (cum, targets, channels)))
+    cum[np.arange(dim), width - 1] = np.inf  # a count stops at the last move
+    tables = (totals, cum[:, :keep - 1].T.copy(),
+              *(a[:, :keep].copy() for a in (targets, channels)))
     quanta = (np.array(res_idx, dtype=np.int64), np.array(dq), np.array(dw))
     return rate_matrix, reservoirs, tables, quanta
 
@@ -604,8 +613,11 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
     # no trajectories so that an ensemble without jumps has columns too
     jumps = ([(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
              if record_events else None)
-    args = (seed, np.cumsum(p0), tables, quanta, tau,
-            initial, final, heat, work, jumps)
+    # a move adds to one distinct cell per live trajectory of the flat
+    # views of the C-contiguous (reservoir, trajectory) accumulators
+    books = (quanta[0] * n_traj, *quanta[1:], heat.ravel(), work.ravel())
+    args = (seed, np.cumsum(p0)[:-1], tables, (tables[0] <= 0.0).any(),
+            books, tau, initial, final, jumps)
     # block 1 starts every trajectory, sliced from index ranges; each later
     # block reads the survivors of the one before
     block = 1
@@ -613,13 +625,12 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
                                   None, None), *args)
            for s in range(0, n_traj, _CHUNK))
     while True:
-        traj, state, t = map(np.concatenate, zip(*out))
-        if not traj.size:
+        live = tuple(map(np.concatenate, zip(*out)))
+        if not live[0].size:
             break
         block += 1
-        out = [_unravel_slice(block, (traj[s:s + _CHUNK], state[s:s + _CHUNK],
-                                      t[s:s + _CHUNK]), *args)
-               for s in range(0, traj.size, _CHUNK)]
+        out = [_unravel_slice(block, [a[s:s + _CHUNK] for a in live], *args)
+               for s in range(0, live[0].size, _CHUNK)]
     events = None
     if jumps is not None:
         traj, times, channels = map(np.concatenate, zip(*jumps))
@@ -644,49 +655,47 @@ def unravel(gen, ledger, p0, tau, seed, n_traj, record_events=True):
         events=events, p_final=p_tau, tau=tau)
 
 
-def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
-                   initial, final, heat, work, jumps):
+def _unravel_slice(block, live, seed, cum_p0, tables, absorbing, books, tau,
+                   initial, final, jumps):
     """Read Philox block ``block`` of the trajectories in ``live``.
 
     ``live`` is (traj, state, t): trajectory indices and their states and
     times after block ``block - 1`` (state and t are None in block 1).
     Each of the block's four stream positions is read by its ``_role``.
     A trajectory leaves when its state has no way out or its next jump
-    would fall after ``tau``. Writes rows of ``initial``, ``final``,
-    ``heat`` and ``work``, appends (traj, t, k) of each move to ``jumps``
-    when it is not None, and returns the survivors' (traj, state, t).
+    would fall after ``tau``; the survivors keep the words still to be
+    read. Writes rows of ``initial``, ``final`` and the flat heat and work
+    of ``books``, appends (traj, t, k) of each move to ``jumps`` when it
+    is not None, and returns the survivors' (traj, state, t).
     """
     totals, cum, targets, channels = tables
-    res_idx, dq, dw = quanta
-    last_move = np.count_nonzero(targets >= 0, axis=1) - 1
-    absorbing = (totals <= 0.0).any()
-    # flat views of the C-contiguous (reservoir, trajectory) accumulators;
-    # a move adds to one distinct cell per live trajectory
-    heat_cells, work_cells = heat.reshape(-1), work.reshape(-1)
-    res_offset = res_idx * heat.shape[1]
+    res_offset, dq, dw, heat_cells, work_cells = books
     traj, state, t = live
-    zero = np.uint64(0)
-    words = np.array(_philox4x64((np.uint64(block), zero, zero,
-                                  traj.astype(np.uint64)), (seed, 0)))
+    rate = None if state is None else totals.take(state)
+    zero = np.uint64(0)  # traj >= 0: its int64 bits are its uint64
+    words = list(_philox4x64((np.uint64(block), zero, zero,
+                              traj.view(np.uint64)), (seed, 0)))
     for p in range(4):
         if not traj.size:
             break
         role = _role(4 * (block - 1) + p)
+        word = words.pop(0)  # words keeps the words still to be read
         if role == "unused":
             continue
-        u = (words[p] >> 11) * 2.0**-53
+        u = (word >> 11).astype(float)
+        u *= 2.0**-53
         if role == "init":
-            state = np.searchsorted(cum_p0, u, side="right")
-            state = np.minimum(state, cum_p0.size - 1)
+            state = _count_le(cum_p0, u, np.zeros(traj.size, dtype=np.int64))
             initial[traj] = state
             t = np.zeros(traj.size)
         elif role == "wait":
-            t = t - _libm_log(1.0 - u) / totals.take(state)
+            u = _libm_log(np.subtract(1.0, u, out=u))
+            u /= rate
+            t = np.subtract(t, u, out=u)  # t's old array may be in jumps
         else:
-            x = u * totals.take(state)
-            local = sum(col.take(state) <= x for col in cum.T)
-            move = (state * cum.shape[1]
-                    + np.minimum(local, last_move.take(state)))
+            u *= rate
+            move = _count_le((c.take(state) for c in cum), u,
+                             state * targets.shape[1])
             k = channels.take(move)
             cell = res_offset.take(k) + traj
             np.add.at(heat_cells, cell, dq.take(k))
@@ -694,15 +703,16 @@ def _unravel_slice(block, live, seed, cum_p0, tables, quanta, tau,
             state = targets.take(move)
             if jumps is not None:
                 jumps.append((traj, t, k))
+        if role != "wait":
+            rate = totals.take(state)
+            if not absorbing:
+                continue
         # a jump after tau ends a trajectory; so does a state with no way out
-        if role != "wait" and not absorbing:
-            continue
-        done = t > tau if role == "wait" else totals.take(state) <= 0.0
-        if done.any():
-            final[traj[done]] = state[done]
-            on = np.flatnonzero(~done)
-            traj, state, t = traj.take(on), state.take(on), t.take(on)
-            words = words.take(on, axis=1)
+        on = np.flatnonzero(t <= tau if role == "wait" else rate > 0.0)
+        if on.size < traj.size:
+            final[traj] = state  # a survivor's row is written when it leaves
+            traj, state, t, rate = (a.take(on) for a in (traj, state, t, rate))
+            words = [w.take(on) for w in words]
     return traj, state, t
 
 

@@ -11,7 +11,8 @@ time reversal is trivial, so the field has the Gallavotti-Cohen symmetry
 itself; then every current also obeys the thermodynamic uncertainty
 relation, and the jump sampler's mean heat is the exact first cumulant.
 A coherent Hamiltonian can break the uncertainty relation. The sampled
-particle count of the biased single dot follows its exact finite-time law.
+particle counts of the biased single dot and of diagonal-H draws follow
+their exact finite-time laws.
 """
 
 import math
@@ -292,23 +293,18 @@ def test_sampled_mean_heat_is_the_first_cumulant(dim, seed):
         assert abs(heat.mean() - c1 * tau) <= 5 * stderr
 
 
-def test_sampled_particle_count_follows_the_exact_law():
-    # the fcs_biased_dot dot (kappa_L + kappa_R = 1) at its sweep's largest
-    # bias, from its steady state over tau = 2: the net electrons into R of
-    # each sampled trajectory against the exact law
-    # P(n) = (1/M) sum_j G(chi_j) e^{-i n chi_j}, G(chi) = Tr e^{L(chi w) tau}
-    # rho_ss, on M = 64 points chi_j = 2 pi j / M (Esposito, Harbola &
-    # Mukamel, Rev. Mod. Phys. 81, 1665 (2009)). At this size every escape
-    # rate x 1.02 gives p < 1e-17 on each of 20 seeds
-    reservoirs = {"L": ReservoirSpec(0.5, 2.0, "fermionic", 0.6),
-                  "R": ReservoirSpec(0.5, -0.8, "fermionic", 0.4)}
-    gen, ledger = single_dot_generator(SingleDotParams(1.0, reservoirs))
-    tau, n_traj, m = 2.0, 500_000, 64
-    rho_ss = steady_state(gen)
-    weights = particle_weights(gen, "R")
+def count_chi2(gen, ens, weights, p0, tau, m=64):
+    """chi^2 and its degrees of freedom of the counts sum_k w_k over the
+    recorded jumps of each trajectory of ``ens``, started from the
+    populations ``p0``, against the exact law
+    P(n) = (1/M) sum_j G(chi_j) e^{-i n chi_j}, G(chi) = Tr e^{L(chi w) tau}
+    diag(p0), on M = m points chi_j = 2 pi j / M (Esposito, Harbola &
+    Mukamel, Rev. Mod. Phys. 81, 1665 (2009)), over the bins that expect
+    at least 5 counts. The law must be real, sum to 1 and vanish for
+    |n| >= m/4, where no sampled count may fall."""
     tilted = np.stack([counting_liouvillian(gen, chi * weights)
                        for chi in 2.0 * np.pi * np.arange(m) / m])
-    g = (qcore.expm_dense(tilted, tau) @ qcore.vectorize(rho_ss)
+    g = (qcore.expm_dense(tilted, tau) @ qcore.vectorize(np.diag(p0))
          @ qcore.trace_vector(gen.dim))
     # P[k] is P(n) at n = k for k < m/2 and at n = k - m above
     law = np.fft.fft(g) / m
@@ -316,15 +312,45 @@ def test_sampled_particle_count_follows_the_exact_law():
     law = law.real
     assert abs(law.sum() - 1.0) <= 1e-12
     assert law.min() >= -1e-12 and law[m // 4:3 * m // 4].max() <= 1e-12
-
-    ens = unravel(gen, ledger, np.real(np.diag(rho_ss)), tau, 2027, n_traj)
     offsets, _, channels = ens.events
     total = np.concatenate([[0.0], np.cumsum(weights[channels])])
     counts = (total[offsets[1:]] - total[offsets[:-1]]).astype(np.int64)
     assert np.abs(counts).max() < m // 4
     observed = np.bincount(counts % m, minlength=m)
-    expected = n_traj * law
+    expected = len(ens) * law
     bins = expected >= 5
     chi2 = float(np.sum((observed[bins] - expected[bins]) ** 2
                         / expected[bins]))
-    assert scipy.stats.chi2.sf(chi2, bins.sum() - 1) >= 1e-6, chi2
+    return chi2, int(bins.sum()) - 1
+
+
+def test_sampled_particle_count_follows_the_exact_law():
+    # the fcs_biased_dot dot (kappa_L + kappa_R = 1) at its sweep's largest
+    # bias, from its steady state over tau = 2: the net electrons into R of
+    # each sampled trajectory against their exact law. At this size every
+    # escape rate x 1.02 gives p < 1e-17 on each of 20 seeds
+    reservoirs = {"L": ReservoirSpec(0.5, 2.0, "fermionic", 0.6),
+                  "R": ReservoirSpec(0.5, -0.8, "fermionic", 0.4)}
+    gen, ledger = single_dot_generator(SingleDotParams(1.0, reservoirs))
+    p0 = np.real(np.diag(steady_state(gen)))
+    ens = unravel(gen, ledger, p0, 2.0, 2027, 500_000)
+    chi2, dof = count_chi2(gen, ens, particle_weights(gen, "R"), p0, 2.0)
+    assert scipy.stats.chi2.sf(chi2, dof) >= 1e-6, chi2
+
+
+# diagonal-H draws whose every reservoir exchanges particles; at d = 3 and
+# 4 the initial draw picks one of more than two states, and states have
+# several moves
+@pytest.mark.parametrize("dim, seed", [(2, 9), (3, 17), (4, 3)])
+def test_sampled_particle_counts_of_draws_follow_the_exact_law(dim, seed):
+    # from the steady populations over tau = 6, the net particles into each
+    # reservoir against their exact law
+    gen, ledger = ldb_generator(dim, seed)
+    gen = GKLSGenerator(ledger.h_td, gen.channels)
+    tau = 6.0
+    p0 = np.real(np.diag(steady_state(gen)))
+    ens = unravel(gen, ledger, p0, tau, seed, 200_000)
+    for tag in gen.reservoirs():
+        chi2, dof = count_chi2(gen, ens, particle_weights(gen, tag), p0, tau,
+                               m=128)
+        assert scipy.stats.chi2.sf(chi2, dof) >= 1e-6, (tag, chi2)

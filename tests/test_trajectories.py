@@ -707,10 +707,12 @@ class TestUnravelGolden:
         assert ensemble_digests(chunked) == ensemble_digests(whole)
 
     @pytest.mark.parametrize("name, chunk", [("decaying_dot", 7),
-                                             ("single_dot_tau150", 64)])
+                                             ("single_dot_tau150", 64),
+                                             ("fridge_population_sector", 61)])
     def test_golden_digests_in_small_slices(self, name, chunk, monkeypatch):
         # many slices share each block; single_dot_tau150 also runs past
-        # the refill after draw 62
+        # the refill after draw 62, and the fridge draws its initial state
+        # from eight
         monkeypatch.setattr(trajectories, "_CHUNK", chunk)
         assert ensemble_digests(golden_ensemble(name)) == GOLDEN_DIGESTS[name]
 
@@ -970,6 +972,20 @@ def test_stream_roles_match_the_jump_layout():
     for position in range(321):
         assert (trajectories._role(position)
                 == expected.get(position, "unused")), position
+
+
+def test_initial_draw_tie_takes_the_next_state():
+    # draw 0 of trajectory 0 equal to cumsum(p0)[0]: the count of entries
+    # <= u is 1, the state bisect_right gives, where a strict < gives 0
+    seed = 5
+    u = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.zeros(4, dtype=np.uint64))).random()
+    p0 = np.array([u, 1.0 - u])
+    assert p0.sum() == 1.0 and np.cumsum(p0)[0] == u
+    assert bisect_right(np.cumsum(p0).tolist(), u) == 1
+    gen, ledger = single_dot_generator(biased_dot_params())
+    assert unravel(gen, ledger, p0, 1.0, seed, 1).initial.tolist() == [1]
 
 
 class TestPhilox:
